@@ -9,7 +9,6 @@ from .arch import (
     fit_case_arches,
     move_along_arch,
     serialize_points,
-    signed_arch_distance,
 )
 from .augment import (
     AugmentConfig,

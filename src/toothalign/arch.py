@@ -269,10 +269,6 @@ def fit_case_arches(case: Case) -> dict[str, ArchLine]:
     return {"upper": fit_arch_line(case.upper), "lower": fit_arch_line(case.lower)}
 
 
-def signed_arch_distance(arch: ArchLine, point) -> float:
-    return arch.signed_distance(point)
-
-
 def move_along_arch(arch: ArchLine, point, delta: float, extend: bool = False) -> np.ndarray:
     return arch.move_along(point, delta, extend=extend)
 

@@ -13,7 +13,8 @@ back toward clinical plausibility by two constraint passes:
 
 Both passes only translate teeth, so the per-tooth rotation stays
 exactly the sampled one. Collision tests treat each cloud as a union
-of proxy spheres and are exact (tree-accelerated, not approximate).
+of proxy spheres; they and the gap distances are exact k-d tree
+queries (see bvh), equal to an all-pairs scan.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arch import ArchLine, fit_arch_line
-from .bvh import AabbTree, interlock_masks
+from .bvh import AabbTree, interlock_masks, nearest_distances
 from .case import Case, Jaw, Tooth, midline_offset
 from .errors import (
     CollisionUnresolved,
@@ -99,21 +100,6 @@ def perturb_tooth(tooth: Tooth, seed: int, config: AugmentConfig) -> RigidTransf
 
 # --------------------------------------------------------------- collision
 
-def _pair_sqdists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # |a-b|^2 via one GEMM; cancellation can dip microscopically negative
-    aa = (a * a).sum(axis=1)[:, None]
-    bb = (b * b).sum(axis=1)[None, :]
-    return np.maximum(aa + bb - 2.0 * (a @ b.T), 0.0)
-
-
-def _min_pair_distance(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.sqrt(_pair_sqdists(a, b).min()))
-
-
-def _max_pair_distance(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.sqrt(_pair_sqdists(a, b).max()))
-
-
 def _interlock(a: Tooth, b: Tooth, trees: dict[int, AabbTree]):
     radius = a.proxy_radius + b.proxy_radius
     mask_a, mask_b, d_min = interlock_masks(trees[a.id], trees[b.id], radius)
@@ -132,7 +118,8 @@ def penetration_distance(tooth_a: Tooth, tooth_b: Tooth) -> float:
     mask_a, mask_b, _, _ = _interlock(tooth_a, tooth_b, trees)
     if not mask_a.any():
         raise NoCollision(f"teeth {tooth_a.id} and {tooth_b.id} do not interlock")
-    return _max_pair_distance(tooth_a.points[mask_a], tooth_b.points[mask_b])
+    pa, pb = tooth_a.points[mask_a], tooth_b.points[mask_b]
+    return float(np.sqrt(((pa[:, None, :] - pb[None, :, :]) ** 2).sum(axis=-1).max()))
 
 
 def _separation_step(a: Tooth, b: Tooth, trees) -> float | None:
@@ -169,7 +156,8 @@ def adjacent_gaps(jaw: Jaw) -> list[tuple[int, int, float]]:
     teeth = jaw.present_teeth()
     out = []
     for a, b in zip(teeth, teeth[1:]):
-        out.append((a.id, b.id, _min_pair_distance(a.points, b.points)))
+        gap = nearest_distances(a.points, AabbTree(b.points)).min()
+        out.append((a.id, b.id, float(gap)))
     return out
 
 
@@ -215,8 +203,9 @@ def _close_gap(tooth: Tooth, mesial: Tooth, arch: ArchLine, threshold: float) ->
     """Slides tooth toward the midline along the arch until its gap to
     the mesial neighbor is at most threshold. Returns total slide."""
     total = 0.0
+    mesial_tree = AabbTree(mesial.points)
     for _ in range(_PULL_STEPS):
-        gap = _min_pair_distance(tooth.points, mesial.points)
+        gap = float(nearest_distances(tooth.points, mesial_tree).min())
         if gap <= threshold:
             break
         delta = -(gap - (threshold - _SLACK))

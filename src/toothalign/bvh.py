@@ -1,140 +1,58 @@
-"""Axis-aligned box hierarchies over point clouds.
+"""Exact proximity queries between point clouds.
 
-Used to accelerate sphere-dilated proximity queries between tooth
-clouds. Pruning compares squared box distances against the squared
-query radius with >=, so a strict distance < radius predicate loses
-nothing: results match an all-pairs scan exactly, not approximately.
+Every nearest-distance and within-radius question the package asks
+about tooth clouds (collisions, gaps, generator spacing, occlusal
+contact) is answered here, on scipy's k-d tree (Bentley 1975) built
+with the sliding-midpoint rule (Maneewongvatana & Mount 1999).
+
+The tree only proposes candidate pairs, at a radius inflated by a
+relative 1e-9 so that rounding inside the tree cannot drop a pair.
+Membership is then decided by the strict ``((a - b) ** 2).sum(-1) <
+r * r`` test on the original coordinates, so results equal an
+all-pairs scan exactly, not approximately.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import EmptyCloud
 
-LEAF_SIZE = 32
+_INFLATE = 1.0 + 1e-9
 
 
-def _sq_rowmin(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    d = a[:, None, :] - b[None, :, :]
-    return (d * d).sum(axis=2)
+class AabbTree(cKDTree):
+    """Static k-d tree (its nodes are axis-aligned boxes) over a fixed
+    (n, 2) or (n, 3) cloud; the cloud is ``self.data``."""
 
-
-class AabbTree:
-    """Static median-split box tree over a fixed (n, 3) cloud."""
-
-    __slots__ = ("points", "order", "lo", "hi", "left", "right", "start", "count")
-
-    def __init__(self, points: np.ndarray):
-        pts = np.ascontiguousarray(np.asarray(points, dtype=float))
-        if pts.ndim != 2 or pts.shape[1] != 3:
-            raise ValueError("expected an (n, 3) point array")
+    def __init__(self, points):
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] not in (2, 3):
+            raise ValueError("expected an (n, 2) or (n, 3) point array")
         if pts.shape[0] == 0:
-            raise EmptyCloud("cannot build a box tree over zero points")
-        self.points = pts
-        self.order = np.arange(pts.shape[0])
-        lo, hi, left, right, start, count = [], [], [], [], [], []
-        # (start, count) ranges of self.order, split in place
-        stack = [(0, pts.shape[0], -1, False)]
-        while stack:
-            s, c, parent, is_right = stack.pop()
-            idx = self.order[s : s + c]
-            sub = pts[idx]
-            node = len(lo)
-            lo.append(sub.min(axis=0))
-            hi.append(sub.max(axis=0))
-            left.append(-1)
-            right.append(-1)
-            start.append(s)
-            count.append(c)
-            if parent >= 0:
-                if is_right:
-                    right[parent] = node
-                else:
-                    left[parent] = node
-            if c > LEAF_SIZE:
-                axis = int(np.argmax(hi[node] - lo[node]))
-                half = c // 2
-                part = np.argpartition(sub[:, axis], half)
-                self.order[s : s + c] = idx[part]
-                stack.append((s + half, c - half, node, True))
-                stack.append((s, half, node, False))
-        self.lo = np.array(lo)
-        self.hi = np.array(hi)
-        self.left = np.array(left)
-        self.right = np.array(right)
-        self.start = np.array(start)
-        self.count = np.array(count)
-
-    def _box_sqdist(self, node: int, p: np.ndarray) -> float:
-        d = np.maximum(np.maximum(self.lo[node] - p, p - self.hi[node]), 0.0)
-        return float(d @ d)
-
-    def points_within(self, center, radius: float) -> np.ndarray:
-        """Sorted indices of points strictly closer than radius."""
-        c = np.asarray(center, dtype=float)
-        r2 = radius * radius
-        hits: list[np.ndarray] = []
-        stack = [0]
-        while stack:
-            node = stack.pop()
-            if self._box_sqdist(node, c) >= r2:
-                continue
-            if self.left[node] < 0:
-                s = self.start[node]
-                idx = self.order[s : s + self.count[node]]
-                d = self.points[idx] - c
-                close = (d * d).sum(axis=1) < r2
-                if close.any():
-                    hits.append(idx[close])
-            else:
-                stack.append(self.left[node])
-                stack.append(self.right[node])
-        if not hits:
-            return np.empty(0, dtype=int)
-        return np.sort(np.concatenate(hits))
+            raise EmptyCloud("cannot build a tree over zero points")
+        super().__init__(pts, balanced_tree=False)
 
 
-def _box_box_sqdist(a: AabbTree, i: int, b: AabbTree, j: int) -> float:
-    g = np.maximum(np.maximum(b.lo[j] - a.hi[i], a.lo[i] - b.hi[j]), 0.0)
-    return float(g @ g)
-
-
-def interlock_masks(
-    a: AabbTree, b: AabbTree, radius: float
-) -> tuple[np.ndarray, np.ndarray, float]:
+def interlock_masks(a, b, radius: float) -> tuple[np.ndarray, np.ndarray, float]:
     """Flags of each cloud's points lying strictly within radius of the
     other cloud, plus the closest pair distance among flagged points
-    (inf when the clouds are separated).
-
-    Dual traversal: node pairs whose boxes are at least radius apart
-    are discarded, which cannot hide any point pair under the strict
-    threshold, so the flags equal the all-pairs answer exactly.
-    """
-    r2 = radius * radius
-    mask_a = np.zeros(a.points.shape[0], dtype=bool)
-    mask_b = np.zeros(b.points.shape[0], dtype=bool)
-    best = np.inf
-    stack = [(0, 0)]
-    while stack:
-        i, j = stack.pop()
-        if _box_box_sqdist(a, i, b, j) >= r2:
-            continue
-        a_leaf = a.left[i] < 0
-        b_leaf = b.left[j] < 0
-        if a_leaf and b_leaf:
-            ia = a.order[a.start[i] : a.start[i] + a.count[i]]
-            ib = b.order[b.start[j] : b.start[j] + b.count[j]]
-            d2 = _sq_rowmin(a.points[ia], b.points[ib])
-            hit = d2 < r2
-            mask_a[ia] |= hit.any(axis=1)
-            mask_b[ib] |= hit.any(axis=0)
-            if hit.any():
-                best = min(best, float(np.sqrt(d2[hit].min())))
-        elif a_leaf or (not b_leaf and b.count[j] >= a.count[i]):
-            stack.append((i, b.left[j]))
-            stack.append((i, b.right[j]))
-        else:
-            stack.append((a.left[i], j))
-            stack.append((a.right[i], j))
+    (inf when the clouds are separated)."""
+    cand = a.sparse_distance_matrix(b, radius * _INFLATE, output_type="ndarray")
+    d2 = ((a.data[cand["i"]] - b.data[cand["j"]]) ** 2).sum(axis=-1)
+    hit = d2 < radius * radius
+    mask_a = np.zeros(a.n, dtype=bool)
+    mask_b = np.zeros(b.n, dtype=bool)
+    mask_a[cand["i"][hit]] = True
+    mask_b[cand["j"][hit]] = True
+    best = float(np.sqrt(d2[hit].min())) if hit.any() else np.inf
     return mask_a, mask_b, best
+
+
+def nearest_distances(points, tree) -> np.ndarray:
+    """Distance from each row of points to its nearest point of tree,
+    in the same arithmetic as interlock_masks."""
+    pts = np.asarray(points, dtype=float)
+    _, j = tree.query(pts)
+    return np.sqrt(((pts - tree.data[j]) ** 2).sum(axis=-1))

@@ -25,7 +25,13 @@ from .case import (
     tooth_centers,
 )
 from .config import Config, load_config
-from .errors import ComputationError, ConfigError, InsufficientPoints, ValidationError
+from .errors import (
+    ComputationError,
+    ConfigError,
+    InsufficientPoints,
+    InvalidArgument,
+    ValidationError,
+)
 from .geometry import fps_sample
 from .losses import total_loss
 from .metrics import evaluate_cases, iteration_metrics
@@ -78,6 +84,8 @@ def _tpi_payload(case, ordering: str, seed: int) -> dict:
 def _cmd_gen(args) -> dict:
     config = _load_config(args)
     seed = _seed(args, config)
+    if args.cases < 1:
+        raise InvalidArgument(f"--cases must be at least 1, got {args.cases}")
     params = SynthParams() if args.teeth is None else SynthParams(teeth_per_jaw=args.teeth)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

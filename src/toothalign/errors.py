@@ -45,6 +45,10 @@ class ConfigError(ValidationError):
     """Unknown keys or out-of-range values in a configuration document."""
 
 
+class InvalidArgument(ValidationError, ValueError):
+    """A count or bound passed by the caller lies outside its range."""
+
+
 # --------------------------------------------------------------- computation
 
 class EmptyCloud(ComputationError):

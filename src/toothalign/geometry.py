@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateCloud, EmptyCloud, InsufficientPoints
+from .errors import DegenerateCloud, EmptyCloud, InsufficientPoints, InvalidArgument
 
 QUAT_ATOL = 1e-9
 
@@ -287,7 +287,7 @@ def fps_sample(points, n: int, start_index: int | None = None) -> np.ndarray:
     if n > count:
         raise InsufficientPoints(f"requested {n} samples from {count} points")
     if n <= 0:
-        raise ValueError("sample count must be positive")
+        raise InvalidArgument(f"sample count must be positive, got {n}")
     if start_index is None:
         start_index = fps_start_index(pts)
     if not 0 <= start_index < count:

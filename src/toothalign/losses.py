@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
+from .bvh import AabbTree, interlock_masks, nearest_distances
 from .case import ANTERIOR_IDS, Case, Jaw, Tooth, jaw_of_id
 from .errors import CorrespondenceMismatch, DegenerateAxis
 from .geometry import RigidTransform, kabsch_recover
@@ -258,22 +258,6 @@ def rot_trans_loss(
 
 # -------------------------------------------------------- occlusal masks
 
-def _min_sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-row minimum squared distance from a (n,d) to b (m,d).
-
-    cdist accumulates (x-y)^2 per dimension exactly like the naive
-    broadcast form, so thresholding stays bit-compatible with it.
-    """
-    return cdist(a, b, "sqeuclidean").min(axis=1)
-
-
-def _xy_mask(a_pts: np.ndarray, b_pts: np.ndarray, tau: float) -> np.ndarray:
-    """Flags of a's points whose projected distance to b is under tau."""
-    if b_pts.shape[0] == 0:
-        return np.zeros(a_pts.shape[0], dtype=bool)
-    return _min_sqdist(a_pts[:, :2], b_pts[:, :2]) < tau * tau
-
-
 def opposing_region(tooth: Tooth, opposing_jaw: Jaw, tau: float = 0.07) -> list[Tooth]:
     """Opposing-jaw teeth whose tau-dilated projected boxes meet the
     tooth's projected box. Never misses a tooth holding a point within
@@ -298,7 +282,10 @@ def region_points(region: list[Tooth]) -> np.ndarray:
 def occlusal_overlap_mask(tooth: Tooth, region: list[Tooth], tau: float = 0.07) -> np.ndarray:
     """Binary flags: a tooth point is set iff its projected distance to
     the opposing region is strictly below tau. Empty region: all zero."""
-    return _xy_mask(tooth.points, region_points(region), tau)
+    if not region:
+        return np.zeros(tooth.points.shape[0], dtype=bool)
+    b = region_points(region)
+    return interlock_masks(AabbTree(tooth.points[:, :2]), AabbTree(b[:, :2]), tau)[0]
 
 
 def overlap_consistency_loss(pred_case: Case, gt_case: Case, tau: float = 0.07) -> float:
@@ -339,13 +326,12 @@ def posterior_uniformity_loss(pred_case: Case, tau: float = 0.07) -> float:
         if not region:
             continue
         b = region_points(region)
-        mask_t = _xy_mask(tooth.points, b, tau)
+        mask_t, mask_b, _ = interlock_masks(
+            AabbTree(tooth.points[:, :2]), AabbTree(b[:, :2]), tau
+        )
         if np.count_nonzero(mask_t) < 2:
             continue
-        mask_b = _xy_mask(b, tooth.points, tau)
-        if not mask_b.any():
-            continue
-        d = np.sqrt(_min_sqdist(tooth.points[mask_t], b[mask_b]))
+        d = nearest_distances(tooth.points[mask_t], AabbTree(b[mask_b]))
         value += float(d.var())  # population variance
     return value
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .case import Case
-from .errors import CorrespondenceMismatch
+from .errors import CorrespondenceMismatch, InvalidArgument
 from .geometry import RigidTransform, kabsch_recover, rotation_angle_between
 
 CURVE_SAMPLES = 257
@@ -60,8 +60,8 @@ def auc(distances, k: float = 5.0) -> float:
     the integral of the step CDF. 1.0 when all distances are 0, 0.0
     when none is below k.
     """
-    if k <= 0:
-        raise ValueError("k must be positive")
+    if not k > 0:
+        raise InvalidArgument(f"k must be positive, got {k}")
     d = np.asarray(distances, dtype=float)
     if d.size == 0:
         raise ValueError("auc needs at least one distance")
@@ -119,17 +119,22 @@ def residual_transforms(pred_case: Case, gt_case: Case) -> dict[int, RigidTransf
 
 def case_metrics(pred_case: Case, gt_case: Case, k: float = 5.0) -> dict:
     """ADD, AUC, and mean residual rotation/translation for one case."""
+    return _case_metrics(pred_case, gt_case, k)[0]
+
+
+def _case_metrics(pred_case: Case, gt_case: Case, k: float) -> tuple[dict, np.ndarray]:
     distances, add = add_error(pred_case, gt_case)
     residual = residual_transforms(pred_case, gt_case)
     identity = {
         tid: RigidTransform.identity(t.pivot) for tid, t in residual.items()
     }
-    return {
+    row = {
         "add_mm": add,
         "auc": auc(distances, k),
         "me_rotate_deg": me_rotate(residual, identity),
         "me_translate_mm": me_translate(residual, identity),
     }
+    return row, distances
 
 
 def evaluate_cases(
@@ -142,10 +147,9 @@ def evaluate_cases(
     per_case = []
     pooled = []
     for pred, gt in pairs:
-        row = {"case_id": pred.id}
-        row.update(case_metrics(pred, gt, k))
-        per_case.append(row)
-        pooled.append(add_error(pred, gt)[0])
+        metrics, distances = _case_metrics(pred, gt, k)
+        per_case.append({"case_id": pred.id, **metrics})
+        pooled.append(distances)
     report = {
         "cases": per_case,
         "add_mm": float(np.mean([r["add_mm"] for r in per_case])),
@@ -161,7 +165,7 @@ def iterate_predict(model, case: Case, n: int) -> list[Case]:
     """Feeds each prediction back as the next input; returns the n
     predicted cases in order."""
     if n < 1:
-        raise ValueError("n must be at least 1")
+        raise InvalidArgument(f"n must be at least 1, got {n}")
     out = []
     current = case
     for _ in range(n):

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bvh import AabbTree, nearest_distances
 from .case import Case, Jaw, Tooth
 from .errors import ConfigError, InfeasibleParams
 from .geometry import RigidTransform, quat_from_axis_angle
@@ -112,16 +113,6 @@ def _crown_cloud(
     return world
 
 
-def _min_gap(a: np.ndarray, b: np.ndarray) -> float:
-    # |a-b|^2 via one GEMM, clamped against cancellation dust
-    d2 = (
-        (a * a).sum(axis=1)[:, None]
-        + (b * b).sum(axis=1)[None, :]
-        - 2.0 * (a @ b.T)
-    )
-    return float(np.sqrt(max(d2.min(), 0.0)))
-
-
 def _build_jaw(side: str, ids: list[int], params: SynthParams, rng) -> Jaw:
     n = len(ids)
     # The lower curve sits well inside the upper one so the projected
@@ -160,7 +151,9 @@ def _build_jaw(side: str, ids: list[int], params: SynthParams, rng) -> Jaw:
             _crown_cloud(directions, centers[i], tangents[i], sizes[i], spins[i], jitters[i])
             for i in range(n)
         ]
-        measured = np.array([_min_gap(clouds[i], clouds[i + 1]) for i in range(n - 1)])
+        measured = np.array(
+            [nearest_distances(clouds[i], AabbTree(clouds[i + 1])).min() for i in range(n - 1)]
+        )
         err = gaps - measured
         if np.abs(err).max() < 0.02:
             break

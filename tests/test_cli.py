@@ -348,6 +348,29 @@ def test_negative_seed_exits_1(capsys, case_file):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--cases", "-3", "-o", "{tmp}"],
+        ["gen", "--cases", "0", "-o", "{tmp}"],
+        ["sample", "--in", "{case}", "-n", "0", "-o", "{tmp}/x.case.json"],
+        ["eval", "--pred-dir", "{dir}", "--gt-dir", "{dir}", "--k", "0"],
+        ["iterate", "--in", "{case}", "--gt", "{case}", "-n", "0"],
+    ],
+)
+def test_out_of_range_argument_exits_1_with_one_log_line(
+    argv, capsys, caplog, case_dir, case_file, tmp_path
+):
+    fields = {"tmp": tmp_path, "case": case_file, "dir": case_dir}
+    code, out = _run(capsys, [a.format(**fields) for a in argv])
+    assert code == 1
+    assert out == ""
+    records = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert len(records) == 1
+    assert records[0].getMessage().startswith("InvalidArgument: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out

@@ -33,9 +33,7 @@ def main():
           f"presence {int(image.presence.sum())}/{image.presence.size} teeth")
 
     # moving the tooth along the arch keeps its shape, shifts its rank
-    from toothalign.arch import move_along_arch
-
-    shifted = move_along_arch(arch, tooth.centroid(), 3.0)
+    shifted = arch.move_along(tooth.centroid(), 3.0)
     print(f"centroid slid 3 mm along the arch moved "
           f"{np.linalg.norm(shifted - tooth.centroid()):.2f} mm in space")
 

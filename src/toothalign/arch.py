@@ -6,6 +6,14 @@ from one end to the other. Interior tangents follow the Catmull-Rom rule
 (half the chord between the two neighbours); the ends use one-sided
 chords. The curve passes exactly through every centroid.
 
+The curve is evaluated here in plain numpy, from per-segment power
+coefficients in the unit parameter ``s = t - i`` of segment ``i``. The
+evaluation order and the interval rule are those of scipy's ``PPoly``
+(a parameter on an inner knot belongs to the next segment, at s = 0;
+parameters outside [0, m-1] extrapolate the end segments), so every
+point, tangent and projection equals a ``CubicHermiteSpline`` of the
+same knots bit for bit; the tests hold scipy as that reference.
+
 Signed distance to the arch is the full 3D distance to the nearest curve
 point, with a sign that is positive on the labial (outer) side. The side
 is decided by the in-plane normal ``z x tangent`` oriented away from a
@@ -17,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 from .case import Case, Jaw, Tooth, midline_offset
 from .errors import ArchOverrun, TooFewTeeth
@@ -25,6 +32,39 @@ from .errors import ArchOverrun, TooFewTeeth
 SAMPLES_PER_SEGMENT = 256  # arc-length table resolution
 PROJECTION_SEEDS = 64  # uniform Newton seeds per segment
 NEWTON_ITERS = 12
+
+
+def _hermite_rows(knots: np.ndarray, tangents: np.ndarray) -> np.ndarray:
+    """Power coefficients, shape (9, 3, m - 1), of the unit-spaced cubic
+    Hermite curve (output 0), its tangent (1) and its second derivative
+    (2) in the segment parameter s. Rows 0-2 hold the constant terms of
+    outputs 0-2, rows 3-5 their s terms, rows 6-7 the s^2 terms of
+    outputs 0-1 and row 8 the s^3 term of output 0. A constant row is
+    stored as ``0.0 + a``, what the first addition of PPoly makes of it."""
+    slope = np.diff(knots, axis=0)
+    t = tangents[:-1] + tangents[1:] - 2 * slope
+    c0, c1, c2, c3 = t, slope - tangents[:-1] - t, tangents[:-1], knots[:-1]
+    d0, d1 = 3.0 * c0, 2.0 * c1  # tangent: d0 s^2 + d1 s + c2
+    e0 = 2.0 * d0  # second derivative: e0 s + d1
+    rows = np.stack((c3 + 0.0, c2 + 0.0, d1 + 0.0, c2, d1, e0, c1, d0, c0))
+    return np.ascontiguousarray(rows.transpose(0, 2, 1))
+
+
+# the rows of _hermite_rows that outputs 0..n-1 use, in the same order
+_ROWS_FOR = {n: [*range(n), *range(3, 3 + n), *range(6, 6 + min(n, 2)), 8] for n in (1, 2, 3)}
+
+
+def _curve(rows: np.ndarray, s: np.ndarray, n: int) -> np.ndarray:
+    """Outputs 0..n-1 from their rows ``_ROWS_FOR[n]`` gathered per
+    parameter, shape ``(n,) + rows.shape[1:]``, summed in PPoly's order
+    ``((a + b s) + c s^2) + d s^3``."""
+    q = min(n, 2)
+    s2 = s * s
+    out = rows[n : 2 * n] * s
+    out += rows[:n]
+    out[:q] += rows[2 * n : 2 * n + q] * s2
+    out[0] += rows[-1] * (s2 * s)
+    return out
 
 
 @dataclass
@@ -35,9 +75,8 @@ class ArchLine:
     lingual_reference: np.ndarray | None = None
     midline_param: float | None = None
 
-    _spline: CubicHermiteSpline = field(init=False, repr=False)
-    _deriv: CubicHermiteSpline = field(init=False, repr=False)
-    _deriv2: CubicHermiteSpline = field(init=False, repr=False)
+    _rows: np.ndarray = field(init=False, repr=False)  # (9, 3, m - 1)
+    _ends: np.ndarray = field(init=False, repr=False)  # (3, 3, m - 1)
     _table_t: np.ndarray = field(init=False, repr=False)
     _table_len: np.ndarray = field(init=False, repr=False)
 
@@ -49,24 +88,25 @@ class ArchLine:
             raise TooFewTeeth("an arch line needs at least two knots")
         if self.tangents.shape != self.knots.shape:
             raise ValueError("one tangent per knot is required")
-        params = np.arange(m, dtype=float)
-        self._spline = CubicHermiteSpline(params, self.knots, self.tangents, axis=0)
-        self._deriv = self._spline.derivative()
-        self._deriv2 = self._deriv.derivative()
+        self._rows = _hermite_rows(self.knots, self.tangents)
+        # what a parameter at each segment's upper end evaluates to: the
+        # next segment at s = 0, or the last segment at s = 1
+        ends = np.arange(1.0, float(m))
+        self._ends = np.ascontiguousarray(self._evaluate(ends, 3).transpose(0, 2, 1))
 
         dense = np.linspace(0.0, m - 1.0, (m - 1) * SAMPLES_PER_SEGMENT + 1)
-        pts = self._spline(dense)
+        pts = self.point_at(dense)
         steps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
         self._table_t = dense
         self._table_len = np.concatenate([[0.0], np.cumsum(steps)])
 
         offsets = (np.arange(PROJECTION_SEEDS) + 0.5) / PROJECTION_SEEDS
         self._seed_t = (np.arange(m - 1)[:, None] + offsets[None, :]).ravel()
-        self._seed_pts = self._spline(self._seed_t)
+        seed_pts = self.point_at(self._seed_t)
         # float32 is plenty for picking candidate seeds; refinement and
-        # final distances stay in float64
-        self._seed_pts32 = self._seed_pts.astype(np.float32).T.copy()
-        self._seed_sq32 = (self._seed_pts * self._seed_pts).sum(axis=1).astype(np.float32)
+        # final distances stay in float64. Scaling by -2 is exact.
+        self._seed_neg2_32 = np.ascontiguousarray(-2.0 * seed_pts.astype(np.float32).T)
+        self._seed_sq32 = (seed_pts * seed_pts).sum(axis=1).astype(np.float32)
 
         if self.lingual_reference is None:
             self.lingual_reference = self.knots.mean(axis=0)
@@ -118,11 +158,20 @@ class ArchLine:
 
     # ------------------------------------------------------------ sampling
 
+    def _evaluate(self, t, n: int) -> np.ndarray:
+        """Outputs 0..n-1 at parameters ``t``, shape ``(n,) + t.shape + (3,)``.
+        A parameter on an inner knot takes the next segment at s = 0."""
+        t = np.asarray(t, dtype=float)
+        # fmax/fmin keep a NaN parameter on segment 0, where it stays NaN
+        seg = np.fmin(np.fmax(t, 0.0), self._rows.shape[2] - 1.0).astype(np.intp)
+        rows = np.take(self._rows[_ROWS_FOR[n]], seg, axis=2)
+        return np.moveaxis(_curve(rows, t - seg, n), 1, -1)
+
     def point_at(self, t) -> np.ndarray:
-        return self._spline(t)
+        return self._evaluate(t, 1)[0]
 
     def tangent_at(self, t) -> np.ndarray:
-        return self._deriv(t)
+        return self._evaluate(t, 2)[1]
 
     def total_length(self) -> float:
         return float(self._table_len[-1])
@@ -136,7 +185,7 @@ class ArchLine:
     def sample_polyline(self, n: int = 256) -> np.ndarray:
         """n points uniformly spaced in arc length, ends included."""
         s = np.linspace(0.0, self.total_length(), n)
-        return self._spline(self.param_at_arc(s))
+        return self.point_at(self.param_at_arc(s))
 
     # ---------------------------------------------------------- projection
 
@@ -149,16 +198,13 @@ class ArchLine:
         segment wins; projection is exact to about 1e-6 in parameter.
         """
         p = np.atleast_2d(np.asarray(points, dtype=float))
-        m = self.knots.shape[0]
-        nseg = m - 1
+        nseg = self.knots.shape[0] - 1
         # seed scan: |p-c|^2 minus the per-point |p|^2 constant, which
         # cannot change any argmin; one float32 GEMM, no distance semantics
-        score = self._seed_sq32[None, :] - 2.0 * (
-            p.astype(np.float32) @ self._seed_pts32
-        )
+        score = p.astype(np.float32) @ self._seed_neg2_32
+        score += self._seed_sq32
         sseg = score.reshape(p.shape[0], nseg, PROJECTION_SEEDS)
         best = sseg.argmin(axis=2)  # best seed per segment
-        rows = np.arange(p.shape[0])[:, None]
         segd = np.take_along_axis(sseg, best[..., None], 2)[..., 0]
         # refine only the few closest segments; the winner is always among
         # them because 64 seeds track each segment to well under a micron
@@ -168,34 +214,45 @@ class ArchLine:
         )
         t = top + (np.take_along_axis(best, top, 1) + 0.5) / PROJECTION_SEEDS
 
+        # Each candidate stays on its segment [lo, lo + 1], so coefficients
+        # are gathered once, coordinate-major (rows, xyz, n, k); a
+        # parameter clamped to the segment's upper end takes the end value.
         lo = top.astype(float)
         hi = lo + 1.0
+        rows = np.take(self._rows, top, axis=2)
+        ends = np.take(self._ends, top, axis=2)
+        pt = p.T[:, :, None]
+
+        def curve(t):
+            out = _curve(rows, t - lo, 3)
+            at_end = t == hi
+            if at_end.any():
+                np.copyto(out, ends, where=at_end)
+            return out
+
         for _ in range(NEWTON_ITERS):
-            c = self._spline(t)
-            d1 = self._deriv(t)
-            dd = self._deriv2(t)
-            r = p[:, None, :] - c
-            g = (r * d1).sum(axis=2)
-            gp = -(d1 * d1).sum(axis=2) + (r * dd).sum(axis=2)
+            c, d1, dd = curve(t)
+            r = pt - c
+            g = (r * d1).sum(axis=0)
+            gp = -(d1 * d1).sum(axis=0) + (r * dd).sum(axis=0)
             step = g / np.where(np.abs(gp) > 1e-30, gp, -1e-30)
-            nxt = np.clip(t - step, lo, hi)
+            nxt = np.minimum(np.maximum(t - step, lo), hi)
             moved = np.abs(nxt - t).max()
             t = nxt
             if moved < 1e-7:
                 break
 
-        c = self._spline(t)
-        dist2 = ((p[:, None, :] - c) ** 2).sum(axis=2)
+        c = curve(t)[0]
+        dist2 = ((pt - c) ** 2).sum(axis=0)
         pick = dist2.argmin(axis=1)
-        rows = rows[:, 0]
-        t_best = t[rows, pick]
-        feet = c[rows, pick]
-        return t_best, feet, np.sqrt(dist2[rows, pick])
+        idx = np.arange(p.shape[0])
+        feet = np.ascontiguousarray(c[:, idx, pick].T)
+        return t[idx, pick], feet, np.sqrt(dist2[idx, pick])
 
     # ------------------------------------------------------ signed distance
 
     def _labial_directions(self, t, feet) -> np.ndarray:
-        tang = np.atleast_2d(self._deriv(t))
+        tang = np.atleast_2d(self.tangent_at(t))
         feet = np.atleast_2d(feet)
         z = np.array([0.0, 0.0, 1.0])
         n = np.cross(np.broadcast_to(z, tang.shape), tang)
@@ -242,16 +299,16 @@ class ArchLine:
         s1 = s0 + outward * float(delta)
         total = self.total_length()
         if -1e-9 <= s1 <= total + 1e-9:
-            foot1 = self._spline(self.param_at_arc(np.clip(s1, 0.0, total)))
+            foot1 = self.point_at(self.param_at_arc(np.clip(s1, 0.0, total)))
         elif not extend:
             raise ArchOverrun(f"arc position {s1:.3f} outside [0, {total:.3f}]")
         elif s1 < 0.0:
-            d = self._deriv(0.0)
-            foot1 = self._spline(0.0) + d / np.linalg.norm(d) * s1
+            d = self.tangent_at(0.0)
+            foot1 = self.point_at(0.0) + d / np.linalg.norm(d) * s1
         else:
             tend = self.knots.shape[0] - 1.0
-            d = self._deriv(tend)
-            foot1 = self._spline(tend) + d / np.linalg.norm(d) * (s1 - total)
+            d = self.tangent_at(tend)
+            foot1 = self.point_at(tend) + d / np.linalg.norm(d) * (s1 - total)
         return p + (np.asarray(foot1) - foot0[0])
 
 
@@ -267,10 +324,6 @@ def fit_arch_line(jaw: Jaw) -> ArchLine:
 
 def fit_case_arches(case: Case) -> dict[str, ArchLine]:
     return {"upper": fit_arch_line(case.upper), "lower": fit_arch_line(case.lower)}
-
-
-def move_along_arch(arch: ArchLine, point, delta: float, extend: bool = False) -> np.ndarray:
-    return arch.move_along(point, delta, extend=extend)
 
 
 def serialize_points(tooth: Tooth, arch: ArchLine, labial_positive: bool = True) -> np.ndarray:

@@ -26,9 +26,9 @@ import numpy as np
 from .arch import ArchLine, fit_arch_line
 from .bvh import AabbTree, interlock_masks, nearest_distances
 from .case import Case, Jaw, Tooth, midline_offset
+from .config import AugmentConfig
 from .errors import (
     CollisionUnresolved,
-    ConfigError,
     ConstraintViolation,
     CorrespondenceMismatch,
     NoCollision,
@@ -40,31 +40,6 @@ _REGULARIZE_PASSES = 8
 _PULL_STEPS = 16
 _JOINT_ROUNDS = 4
 _SLACK = 1e-6  # settle strictly inside thresholds so re-checks stay quiet
-
-
-@dataclass(frozen=True)
-class AugmentConfig:
-    rot_range: float = 10.0  # degrees
-    trans_mu: float = 0.0  # mm
-    trans_sigma: float = 0.3  # mm
-    gap_threshold: float = 2.35  # mm
-    arch_dist_range: tuple[float, float] = (0.0, 2.2)  # mm
-    constraint_ratio: float = 0.54
-    ordinary_prob: float = 0.62
-    max_collision_iters: int = 10
-
-    def validate(self) -> None:
-        if self.rot_range < 0 or self.trans_sigma < 0 or self.gap_threshold < 0:
-            raise ConfigError("augmentation ranges must be nonnegative")
-        lo, hi = self.arch_dist_range
-        if not (0 <= lo <= hi):
-            raise ConfigError("arch_dist_range must be 0 <= lo <= hi")
-        for name in ("constraint_ratio", "ordinary_prob"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise ConfigError(f"{name} must lie in [0, 1]")
-        if self.max_collision_iters < 1:
-            raise ConfigError("max_collision_iters must be at least 1")
 
 
 @dataclass
@@ -179,21 +154,26 @@ def _translate(tooth: Tooth, vec: np.ndarray) -> None:
     tooth.points = tooth.points + vec
 
 
+def _arch_distance(arch: ArchLine, tooth: Tooth) -> float:
+    """Unsigned arch distance of the centroid: one projection, and no
+    labial side, which abs() of the signed distance would drop again."""
+    return float(arch.project(tooth.centroid()[None, :])[2][0])
+
+
 def _pull_to_arch(tooth: Tooth, arch: ArchLine, lo: float, hi: float) -> float:
     """Perpendicular pulls until the centroid's arch distance is inside
     [lo, hi]. Returns the total displacement."""
     total = 0.0
     for _ in range(_PULL_STEPS):
         c = tooth.centroid()
-        dist = abs(arch.signed_distance(c))
+        _, feet, dists = arch.project(c[None, :])
+        dist = float(dists[0])
         if lo <= dist <= hi:
             break
         if dist < 1e-12:
             break  # on the arch; no direction to push outward
         target = hi - _SLACK if dist > hi else lo + _SLACK
-        _, feet, _ = arch.project(c[None, :])
-        foot = feet[0]
-        vec = (1.0 - target / dist) * (foot - c)
+        vec = (1.0 - target / dist) * (feet[0] - c)
         _translate(tooth, vec)
         total += float(np.linalg.norm(vec))
     return total
@@ -317,7 +297,7 @@ def check_constraints(case: Case, config: AugmentConfig) -> dict:
             arch = fit_arch_line(_gt_jaw(jaw)) if has_gt else fit_arch_line(jaw)
         gaps = [g for _, _, g in adjacent_gaps(jaw)]
         dists = (
-            [abs(arch.signed_distance(t.centroid())) for t in teeth] if arch else []
+            [_arch_distance(arch, t) for t in teeth] if arch else []
         )
         angles = [
             np.rad2deg(kabsch_recover(t.gt_points, t.points).angle())
@@ -383,7 +363,7 @@ def constrained_augment_case_report(
             )
             lo, hi = config.arch_dist_range
             arch_ok = all(
-                lo - 1e-9 <= abs(arch.signed_distance(t.centroid())) <= hi + 1e-9
+                lo - 1e-9 <= _arch_distance(arch, t) <= hi + 1e-9
                 for t in working.present_teeth()
             )
             if gaps_ok and arch_ok:

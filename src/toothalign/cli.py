@@ -15,7 +15,6 @@ import sys
 from pathlib import Path
 
 from .arch import fit_case_arches
-from .augment import check_constraints, constrained_augment_case_report, ordinary_augment
 from .case import (
     POINT_COUNT,
     build_tooth_point_image,
@@ -33,11 +32,12 @@ from .errors import (
     ValidationError,
 )
 from .geometry import fps_sample
-from .losses import total_loss
 from .metrics import evaluate_cases, iteration_metrics
 from .seeding import derive_seed
-from .swin import init_weights, predict_case, predict_transforms
-from .synthetic import SynthParams, generate_synthetic_case
+
+# Import rule: modules that load scipy (augment, losses, synthetic, swin)
+# are imported inside the subcommands that call them, so every call pays
+# only for what it runs; tests/test_import_policy.py enforces this.
 
 log = logging.getLogger("toothalign")
 
@@ -82,6 +82,8 @@ def _tpi_payload(case, ordering: str, seed: int) -> dict:
 # ------------------------------------------------------------ subcommands
 
 def _cmd_gen(args) -> dict:
+    from .synthetic import SynthParams, generate_synthetic_case
+
     config = _load_config(args)
     seed = _seed(args, config)
     if args.cases < 1:
@@ -146,6 +148,8 @@ def _cmd_arch_export(args) -> dict:
 
 
 def _cmd_augment(args) -> dict:
+    from .augment import check_constraints, constrained_augment_case_report, ordinary_augment
+
     config = _load_config(args)
     seed = _seed(args, config)
     aug = config.augment
@@ -166,6 +170,8 @@ def _cmd_augment(args) -> dict:
 
 
 def _cmd_loss(args) -> dict:
+    from .losses import total_loss
+
     config = _load_config(args)
     pred = load_case(args.pred)
     gt = load_case(args.gt)
@@ -175,6 +181,8 @@ def _cmd_loss(args) -> dict:
 
 
 def _cmd_forward(args) -> dict:
+    from .swin import init_weights, predict_transforms
+
     config = _load_config(args)
     seed = _seed(args, config)
     ordering = args.ordering or config.ordering
@@ -226,6 +234,8 @@ def _cmd_eval(args) -> dict:
 
 
 def _cmd_iterate(args) -> dict:
+    from .swin import init_weights, predict_case
+
     config = _load_config(args)
     seed = _seed(args, config)
     ordering = args.ordering or config.ordering

@@ -3,6 +3,8 @@ weights, serialization, and the master seed.
 
 Unknown keys are rejected at every level so a typo cannot silently
 fall back to a default. Environment variables are never consulted.
+The augmentation and loss sections are defined here, so reading a
+config loads neither the augmentation nor the loss code.
 """
 
 from __future__ import annotations
@@ -11,10 +13,56 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 
-from .augment import AugmentConfig
+import numpy as np
+
 from .case import ORDERING_MODES
 from .errors import ConfigError
-from .losses import LossWeights
+
+
+@dataclass(frozen=True)
+class AugmentConfig:
+    rot_range: float = 10.0  # degrees
+    trans_mu: float = 0.0  # mm
+    trans_sigma: float = 0.3  # mm
+    gap_threshold: float = 2.35  # mm
+    arch_dist_range: tuple[float, float] = (0.0, 2.2)  # mm
+    constraint_ratio: float = 0.54
+    ordinary_prob: float = 0.62
+    max_collision_iters: int = 10
+
+    def validate(self) -> None:
+        if self.rot_range < 0 or self.trans_sigma < 0 or self.gap_threshold < 0:
+            raise ConfigError("augmentation ranges must be nonnegative")
+        lo, hi = self.arch_dist_range
+        if not (0 <= lo <= hi):
+            raise ConfigError("arch_dist_range must be 0 <= lo <= hi")
+        for name in ("constraint_ratio", "ordinary_prob"):
+            v = getattr(self, name)
+            if not (0.0 <= v <= 1.0):
+                raise ConfigError(f"{name} must lie in [0, 1]")
+        if self.max_collision_iters < 1:
+            raise ConfigError("max_collision_iters must be at least 1")
+
+
+@dataclass(frozen=True)
+class LossWeights:
+    """Hyperparameters of the combined loss."""
+
+    delta: tuple[float, float, float, float] = (1.0, 1.0, 1.0, 1.0)
+    omega: float = 10.0  # rotation emphasis inside the transform loss
+    w_posterior: float = 2.0  # posterior share of the uniformity loss
+    omega_anterior: float = float(1.0 / np.pi)  # angular-term scale
+    tau: float = 0.07  # occlusal overlap threshold, mm
+    max_angle: float = float(np.pi / 2.0)  # enhancement normalizer, rad
+    max_translation: float = 4.5  # enhancement normalizer, mm
+
+    def validate(self) -> None:
+        vals = (*self.delta, self.omega, self.w_posterior, self.omega_anterior,
+                self.tau, self.max_angle, self.max_translation)
+        if any(v < 0 for v in vals):
+            raise ValueError("loss weights must be nonnegative")
+        if self.tau <= 0:
+            raise ValueError("tau must be positive")
 
 
 @dataclass(frozen=True)

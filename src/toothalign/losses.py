@@ -22,29 +22,9 @@ import numpy as np
 
 from .bvh import AabbTree, interlock_masks, nearest_distances
 from .case import ANTERIOR_IDS, Case, Jaw, Tooth, jaw_of_id
+from .config import LossWeights
 from .errors import CorrespondenceMismatch, DegenerateAxis
 from .geometry import RigidTransform, kabsch_recover
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    """Hyperparameters of the combined loss."""
-
-    delta: tuple[float, float, float, float] = (1.0, 1.0, 1.0, 1.0)
-    omega: float = 10.0  # rotation emphasis inside the transform loss
-    w_posterior: float = 2.0  # posterior share of the uniformity loss
-    omega_anterior: float = float(1.0 / np.pi)  # angular-term scale
-    tau: float = 0.07  # occlusal overlap threshold, mm
-    max_angle: float = float(np.pi / 2.0)  # enhancement normalizer, rad
-    max_translation: float = 4.5  # enhancement normalizer, mm
-
-    def validate(self) -> None:
-        vals = (*self.delta, self.omega, self.w_posterior, self.omega_anterior,
-                self.tau, self.max_angle, self.max_translation)
-        if any(v < 0 for v in vals):
-            raise ValueError("loss weights must be nonnegative")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
 
 
 @dataclass

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.interpolate import CubicHermiteSpline
 
-from toothalign.arch import ArchLine, fit_arch_line, serialize_points
+from toothalign.arch import NEWTON_ITERS, PROJECTION_SEEDS, ArchLine, fit_arch_line, serialize_points
 from toothalign.case import Tooth
 from toothalign.errors import ArchOverrun, TooFewTeeth
 
@@ -194,3 +198,92 @@ def test_fit_arch_line_orders_by_id(corpus):
     ids = [t.id for t in sorted(jaw.present_teeth(), key=lambda t: t.id)]
     assert list(arch.tooth_ids) == ids
     assert arch.knots.shape[0] == len(ids)
+
+
+# ------------------------------------------- scipy PPoly as the reference
+
+PROPERTY = settings(max_examples=120, deadline=None, derandomize=True)
+
+
+@st.composite
+def hermite_curves(draw):
+    """Knots and tangents on a 0.01 mm grid (with -0.0), and parameters
+    at every knot, at both ends, inside and outside [0, m - 1]."""
+    m = draw(st.integers(2, 9))
+    grid = st.one_of(st.just(-0.0), st.integers(-4000, 4000).map(lambda v: v / 100.0))
+    knots = draw(arrays(np.float64, (m, 3), elements=grid))
+    tangents = draw(arrays(np.float64, (m, 3), elements=grid))
+    inside = draw(st.lists(st.floats(-1.5, m + 0.5), min_size=1, max_size=30))
+    t = np.concatenate([np.arange(m, dtype=float), [0.0, m - 1.0, -0.0], inside])
+    return knots, tangents, t
+
+
+def _ppoly_project(spline, p):
+    """The projection of ArchLine.project, evaluated with scipy's PPoly."""
+    deriv = spline.derivative()
+    deriv2 = deriv.derivative()
+    nseg = spline.x.size - 1
+    offsets = (np.arange(PROJECTION_SEEDS) + 0.5) / PROJECTION_SEEDS
+    seed_pts = spline((np.arange(nseg)[:, None] + offsets[None, :]).ravel())
+    seed_sq32 = (seed_pts * seed_pts).sum(axis=1).astype(np.float32)
+    score = seed_sq32[None, :] - 2.0 * (p.astype(np.float32) @ seed_pts.astype(np.float32).T.copy())
+    sseg = score.reshape(p.shape[0], nseg, PROJECTION_SEEDS)
+    best = sseg.argmin(axis=2)
+    segd = np.take_along_axis(sseg, best[..., None], 2)[..., 0]
+    k = min(3, nseg)
+    top = np.argpartition(segd, k - 1, axis=1)[:, :k] if nseg > k else (
+        np.broadcast_to(np.arange(nseg), (p.shape[0], nseg)).copy()
+    )
+    t = top + (np.take_along_axis(best, top, 1) + 0.5) / PROJECTION_SEEDS
+    lo = top.astype(float)
+    hi = lo + 1.0
+    for _ in range(NEWTON_ITERS):
+        c, d1, dd = spline(t), deriv(t), deriv2(t)
+        r = p[:, None, :] - c
+        g = (r * d1).sum(axis=2)
+        gp = -(d1 * d1).sum(axis=2) + (r * dd).sum(axis=2)
+        nxt = np.clip(t - g / np.where(np.abs(gp) > 1e-30, gp, -1e-30), lo, hi)
+        moved = np.abs(nxt - t).max()
+        t = nxt
+        if moved < 1e-7:
+            break
+    c = spline(t)
+    dist2 = ((p[:, None, :] - c) ** 2).sum(axis=2)
+    pick = dist2.argmin(axis=1)
+    rows = np.arange(p.shape[0])
+    return t[rows, pick], c[rows, pick], np.sqrt(dist2[rows, pick])
+
+
+def _same_bits(got, want) -> bool:
+    """Equal arrays, signed zeros told apart (np.array_equal has 0.0 == -0.0)."""
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and np.array_equal(
+        np.ascontiguousarray(got).view(np.int64), np.ascontiguousarray(want).view(np.int64)
+    )
+
+
+@PROPERTY
+@given(hermite_curves())
+def test_curve_equals_scipy_cubic_hermite_bit_for_bit(curve):
+    knots, tangents, t = curve
+    arch = ArchLine(knots, tangents)
+    spline = CubicHermiteSpline(np.arange(len(knots), dtype=float), knots, tangents, axis=0)
+    deriv = spline.derivative()
+    assert _same_bits(arch.point_at(t), spline(t))
+    assert _same_bits(arch.tangent_at(t), deriv(t))
+    assert _same_bits(arch._evaluate(t, 3)[2], deriv.derivative()(t))  # Newton's c''
+    assert _same_bits(arch.point_at(t[-1]), spline(t[-1]))  # scalar parameter
+
+
+@PROPERTY
+@given(hermite_curves(), st.integers(0, 2**32 - 1))
+def test_projection_equals_ppoly_projection_bit_for_bit(curve, seed):
+    knots, tangents, _ = curve
+    arch = ArchLine(knots, tangents)
+    spline = CubicHermiteSpline(np.arange(len(knots), dtype=float), knots, tangents, axis=0)
+    rng = np.random.default_rng(seed)
+    # queries near the curve, on its knots and far off its ends
+    t = rng.uniform(-0.5, len(knots) - 0.5, 40)
+    p = np.concatenate([spline(t) + rng.normal(0.0, 3.0, (40, 3)), knots, knots[[0, -1]] * 3.0])
+    for got, want in zip(arch.project(p), _ppoly_project(spline, p)):
+        assert _same_bits(got, want)

@@ -7,7 +7,7 @@ the serializer uses to lay a cloud out in a consistent order.
 
 import numpy as np
 
-from toothalign.arch import fit_arch_line, fit_case_arches, serialize_points
+from toothalign.arch import fit_arch_line, serialize_points
 from toothalign.case import build_tooth_point_image
 from toothalign.synthetic import generate_synthetic_case
 
@@ -28,7 +28,7 @@ def main():
     assert np.all(np.diff(d) >= 0)
 
     # the full-case image stacks every ordered cloud: one row per tooth
-    image = build_tooth_point_image(case, arches=fit_case_arches(case))
+    image = build_tooth_point_image(case)
     print(f"\ncase image: data {image.data.shape}, "
           f"presence {int(image.presence.sum())}/{image.presence.size} teeth")
 

@@ -22,7 +22,7 @@ from toothalign.synthetic import generate_synthetic_case
 def main():
     case = generate_synthetic_case(seed=9, case_id="demo")
 
-    before = detect_collisions(case.upper).pairs
+    before = detect_collisions(case.upper)
     print(f"raw input: {len(before)} colliding pairs in the upper jaw")
 
     out, report = constrained_augment_case_report(case, seed=2)

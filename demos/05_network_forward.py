@@ -7,7 +7,6 @@ point clouds in, one rigid transform per present tooth out.
 
 import numpy as np
 
-from toothalign.arch import fit_case_arches
 from toothalign.case import build_tooth_point_image, tooth_centers
 from toothalign.swin import CHANNELS, init_weights, predict_transforms, swtp_forward
 from toothalign.synthetic import generate_synthetic_case
@@ -18,7 +17,7 @@ def main():
     weights = init_weights(seed=0)
 
     # the tooth-pooling tower halves the point axis four times
-    image = build_tooth_point_image(case, arches=fit_case_arches(case))
+    image = build_tooth_point_image(case)
     rng = np.random.default_rng(0)
     grid = rng.normal(size=(32, 512, CHANNELS))
     pooled, trace = swtp_forward(grid, weights, presence=image.presence,

@@ -326,14 +326,7 @@ def fit_case_arches(case: Case) -> dict[str, ArchLine]:
     return {"upper": fit_arch_line(case.upper), "lower": fit_arch_line(case.lower)}
 
 
-def serialize_points(tooth: Tooth, arch: ArchLine, labial_positive: bool = True) -> np.ndarray:
+def serialize_points(tooth: Tooth, arch: ArchLine) -> np.ndarray:
     """Permutation ordering a tooth's points by ascending signed arch
-    distance (most lingual first); ties keep input order.
-
-    ``labial_positive=False`` flips the sign convention, which reverses
-    the serialization direction.
-    """
-    d = arch.signed_distances(tooth.points)
-    if not labial_positive:
-        d = -d
-    return np.argsort(d, kind="stable")
+    distance (most lingual first); ties keep input order."""
+    return np.argsort(arch.signed_distances(tooth.points), kind="stable")

@@ -19,8 +19,6 @@ queries (see bvh), equal to an all-pairs scan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .arch import ArchLine, fit_arch_line
@@ -40,14 +38,6 @@ _REGULARIZE_PASSES = 8
 _PULL_STEPS = 16
 _JOINT_ROUNDS = 4
 _SLACK = 1e-6  # settle strictly inside thresholds so re-checks stay quiet
-
-
-@dataclass
-class CollisionReport:
-    """Colliding present-tooth pairs of one jaw with positive separation
-    steps large enough to clear each overlap."""
-
-    pairs: list[tuple[int, int, float]]
 
 
 # ------------------------------------------------------------ perturbation
@@ -87,7 +77,7 @@ def penetration_distance(tooth_a: Tooth, tooth_b: Tooth) -> float:
     other cloud's proxy volume.
 
     A single coincident contact point yields ~0; this is the raw
-    extent, see CollisionReport for the always-positive resolution step.
+    extent, see detect_collisions for the always-positive resolution step.
     """
     trees = {tooth_a.id: AabbTree(tooth_a.points), tooth_b.id: AabbTree(tooth_b.points)}
     mask_a, mask_b, _, _ = _interlock(tooth_a, tooth_b, trees)
@@ -110,8 +100,10 @@ def _separation_step(a: Tooth, b: Tooth, trees) -> float | None:
     return radius - d_min + 1e-3
 
 
-def detect_collisions(jaw: Jaw) -> CollisionReport:
-    """All interlocking present-tooth pairs, ascending id order."""
+def detect_collisions(jaw: Jaw) -> list[tuple[int, int, float]]:
+    """All interlocking present-tooth pairs ``(id_a, id_b, step)``, in
+    ascending id order; each step is a positive slide that clears the
+    overlap."""
     teeth = jaw.present_teeth()
     trees = {t.id: AabbTree(t.points) for t in teeth}
     pairs = []
@@ -120,7 +112,7 @@ def detect_collisions(jaw: Jaw) -> CollisionReport:
             step = _separation_step(a, b, trees)
             if step is not None:
                 pairs.append((a.id, b.id, step))
-    return CollisionReport(pairs)
+    return pairs
 
 
 # ------------------------------------------------------------- constraints
@@ -228,11 +220,6 @@ def _refresh_moved(tooth: Tooth, before: Tooth | None) -> None:
         tooth.moved = True
 
 
-def resolve_collisions(jaw: Jaw, arch: ArchLine, config: AugmentConfig) -> Jaw:
-    out, _ = resolve_collisions_verbose(jaw, arch, config)
-    return out
-
-
 def resolve_collisions_verbose(
     jaw: Jaw, arch: ArchLine, config: AugmentConfig
 ) -> tuple[Jaw, int]:
@@ -246,14 +233,14 @@ def resolve_collisions_verbose(
     config.validate()
     out = jaw.copy()
     for iteration in range(config.max_collision_iters + 1):
-        report = detect_collisions(out)
-        if not report.pairs:
+        pairs = detect_collisions(out)
+        if not pairs:
             for tooth in out.present_teeth():
                 _refresh_moved(tooth, jaw.get(tooth.id))
             return out, iteration
         if iteration == config.max_collision_iters:
             break
-        for id_a, id_b, step in report.pairs:
+        for id_a, id_b, step in pairs:
             a, b = out.get(id_a), out.get(id_b)
             mover = max(a, b, key=lambda t: (midline_offset(t.id), t.id))
             c = mover.centroid()
@@ -304,7 +291,7 @@ def check_constraints(case: Case, config: AugmentConfig) -> dict:
             for t in teeth
             if t.gt_points is not None
         ]
-        collisions = len(detect_collisions(jaw).pairs)
+        collisions = len(detect_collisions(jaw))
         entry = {
             "teeth": len(teeth),
             "collisions": collisions,
@@ -323,13 +310,6 @@ def check_constraints(case: Case, config: AugmentConfig) -> dict:
         report["jaws"][side] = entry
     report["satisfied"] = ok
     return report
-
-
-def constrained_augment_case(
-    gt_case: Case, seed: int, config: AugmentConfig | None = None
-) -> Case:
-    case, _ = constrained_augment_case_report(gt_case, seed, config)
-    return case
 
 
 def constrained_augment_case_report(

@@ -23,6 +23,7 @@ Floats round-trip bit-exactly through JSON.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -31,7 +32,6 @@ import numpy as np
 from .errors import (
     CorrespondenceMismatch,
     DuplicateTooth,
-    MissingArchLine,
     SchemaViolation,
     TransformForAbsentTooth,
     ValidationError,
@@ -141,6 +141,15 @@ class Case:
 
 # ------------------------------------------------------------------ schema
 
+def is_finite_number(value) -> bool:
+    """A finite JSON number that fits a float; bool is not one."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    )
+
+
 def _check_points(raw, path: str, expected: int | None) -> np.ndarray:
     if not isinstance(raw, list):
         raise SchemaViolation("points must be a list of [x, y, z]", path)
@@ -148,11 +157,19 @@ def _check_points(raw, path: str, expected: int | None) -> np.ndarray:
         raise WrongPointCount(f"expected {expected} points, found {len(raw)}", path)
     if len(raw) == 0:
         raise WrongPointCount("present tooth has no points", path)
-    arr = np.asarray(raw, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 3:
-        raise SchemaViolation("each point must have 3 coordinates", path)
-    if not np.isfinite(arr).all():
-        raise SchemaViolation("coordinates must be finite", path)
+    try:
+        arr = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # ragged, nested, non-numeric, huge
+        arr = np.empty(0)
+    # asarray also takes bools, numeric strings and null (as NaN), so the
+    # element types are checked as well
+    if not (
+        arr.ndim == 2
+        and arr.shape[1] == 3
+        and np.isfinite(arr).all()
+        and {type(v) for p in raw for v in p} <= {int, float}
+    ):
+        raise SchemaViolation("each point must be a list of 3 finite numbers", path)
     return arr
 
 
@@ -174,11 +191,9 @@ def _tooth_from_dict(raw: dict, side: str, index: int, expected: int | None) -> 
     if not isinstance(present, bool) or not isinstance(moved, bool):
         raise SchemaViolation("present/moved must be booleans", path)
     radius = raw.get("proxy_radius", 0.25)
-    if isinstance(radius, bool) or not isinstance(radius, (int, float)):
-        raise SchemaViolation("proxy_radius must be a number", path)
+    if not is_finite_number(radius) or radius <= 0:
+        raise SchemaViolation("proxy_radius must be a positive finite number", path)
     radius = float(radius)
-    if not np.isfinite(radius) or radius <= 0:
-        raise SchemaViolation("proxy_radius must be positive and finite", path)
     points = gt_points = None
     if present:
         if "points" not in raw:
@@ -254,11 +269,11 @@ def dumps_json(doc) -> str:
 def load_case(path, expected_points: int | None = POINT_COUNT) -> Case:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read case file {path}: {exc}") from exc
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax, huge integer, deep nesting
         raise SchemaViolation(f"invalid JSON: {exc}") from exc
     return case_from_dict(raw, expected_points)
 
@@ -306,41 +321,34 @@ class ToothPointImage:
 
 
 def build_tooth_point_image(
-    case: Case,
-    ordering: str = "arch_line",
-    arches=None,
-    seed: int | None = None,
+    case: Case, ordering: str = "arch_line", seed: int | None = None
 ) -> ToothPointImage:
     """Stack each present tooth's points, permuted by the chosen ordering.
 
-    ``arches`` maps jaw side to an ArchLine and is required for the
-    ``arch_line`` ordering. ``seed`` is required for ``random``. Apart
-    from the random mode, the image is invariant to the order in which a
-    tooth's points were stored.
+    The ``arch_line`` ordering fits each jaw's arch line to the case
+    (TooFewTeeth when a jaw has fewer than two present teeth). ``seed``
+    is required for ``random``. Apart from the random mode, the image is
+    invariant to the order in which a tooth's points were stored.
     """
     if ordering not in ORDERING_MODES:
         raise ValueError(f"unknown ordering {ordering!r}; pick one of {ORDERING_MODES}")
-    if ordering == "arch_line" and not arches:
-        raise MissingArchLine("arch_line ordering requires fitted arch lines")
     if ordering == "random" and seed is None:
         raise ValueError("random ordering requires a seed")
 
+    from .arch import fit_case_arches, serialize_points  # local import to avoid a cycle
+
+    arches = fit_case_arches(case) if ordering == "arch_line" else None
     present = case.present_teeth()
     n = present[0].points.shape[0] if present else POINT_COUNT
     data = np.zeros((32, n, 3))
     mask = np.zeros(32, dtype=bool)
     mouth = case.mouth_center() if ordering == "center_distance" else None
 
-    from .arch import serialize_points  # local import to avoid a cycle
-
     for tooth in present:
         if tooth.points.shape[0] != n:
             raise CorrespondenceMismatch("all present teeth must share one point count")
         if ordering == "arch_line":
-            arch = arches.get(jaw_of_id(tooth.id)) if hasattr(arches, "get") else None
-            if arch is None:
-                raise MissingArchLine(f"no arch line for the {jaw_of_id(tooth.id)} jaw")
-            perm = serialize_points(tooth, arch)
+            perm = serialize_points(tooth, arches[jaw_of_id(tooth.id)])
         elif ordering == "local_z":
             perm = order_local_z(tooth)
         elif ordering == "center_distance":

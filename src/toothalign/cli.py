@@ -9,13 +9,13 @@ invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import logging
 import sys
 from pathlib import Path
 
 from .arch import fit_case_arches
 from .case import (
+    ORDERING_MODES,
     POINT_COUNT,
     build_tooth_point_image,
     dumps_json,
@@ -54,9 +54,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_config(args) -> Config:
-    config = load_config(args.config) if args.config else Config()
-    config.validate()
-    return config
+    return load_config(args.config) if args.config else Config()
 
 
 def _seed(args, config: Config) -> int:
@@ -66,17 +64,9 @@ def _seed(args, config: Config) -> int:
     return seed
 
 
-def _tpi_payload(case, ordering: str, seed: int) -> dict:
-    arches = fit_case_arches(case) if ordering == "arch_line" else None
-    tpi = build_tooth_point_image(
-        case, ordering=ordering, arches=arches, seed=derive_seed(seed, "serialize", case.id)
-    )
-    return {
-        "case_id": case.id,
-        "ordering": ordering,
-        "presence": [bool(p) for p in tpi.presence],
-        "data": tpi.data.tolist(),
-    }
+def _image(case, ordering: str, seed: int):
+    """The case's tooth point image, as serialize and forward build it."""
+    return build_tooth_point_image(case, ordering, derive_seed(seed, "serialize", case.id))
 
 
 # ------------------------------------------------------------ subcommands
@@ -125,7 +115,13 @@ def _cmd_serialize(args) -> dict:
     seed = _seed(args, config)
     ordering = args.ordering or config.ordering
     case = load_case(args.infile)
-    payload = _tpi_payload(case, ordering, seed)
+    tpi = _image(case, ordering, seed)
+    payload = {
+        "case_id": case.id,
+        "ordering": ordering,
+        "presence": [bool(p) for p in tpi.presence],
+        "data": tpi.data.tolist(),
+    }
     if args.out:
         Path(args.out).write_text(dumps_json(payload), encoding="utf-8")
         log.info("wrote %s", args.out)
@@ -153,9 +149,6 @@ def _cmd_augment(args) -> dict:
     config = _load_config(args)
     seed = _seed(args, config)
     aug = config.augment
-    if args.ratio is not None:
-        aug = dataclasses.replace(aug, constraint_ratio=args.ratio)
-        aug.validate()
     case = load_case(args.infile)
     if args.mode == "constrained":
         out_case, report = constrained_augment_case_report(case, seed, aug)
@@ -188,11 +181,7 @@ def _cmd_forward(args) -> dict:
     ordering = args.ordering or config.ordering
     case = load_case(args.infile)
     weights = init_weights(derive_seed(seed, "weights"))
-    arches = fit_case_arches(case) if ordering == "arch_line" else None
-    tpi = build_tooth_point_image(
-        case, ordering=ordering, arches=arches, seed=derive_seed(seed, "serialize", case.id)
-    )
-    transforms = predict_transforms(tpi, tooth_centers(case), weights)
+    transforms = predict_transforms(_image(case, ordering, seed), tooth_centers(case), weights)
     return {
         "case_id": case.id,
         "seed": seed,
@@ -278,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("serialize", help="build the 32-row tooth point image")
     _common(p)
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--ordering", choices=["arch_line", "local_z", "center_distance", "random"], default=None)
+    p.add_argument("--ordering", choices=ORDERING_MODES, default=None)
     p.add_argument("-o", "--out", default=None, help="also write the payload here")
     p.set_defaults(func=_cmd_serialize)
 
@@ -294,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     _common(p)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--mode", choices=["constrained", "ordinary"], default="constrained")
-    p.add_argument("--ratio", type=float, default=None, help="constraint augmentation ratio")
     p.add_argument("-o", "--out", required=True, help="output case file")
     p.set_defaults(func=_cmd_augment)
 
@@ -308,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("forward", help="one forward pass of the seeded reference network")
     _common(p)
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--ordering", choices=["arch_line", "local_z", "center_distance", "random"], default=None)
+    p.add_argument("--ordering", choices=ORDERING_MODES, default=None)
     p.set_defaults(func=_cmd_forward)
 
     p = subs.add_parser("eval", help="metric report over prediction/target directories")
@@ -323,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--gt", required=True)
     p.add_argument("-n", type=int, default=4, help="iterations")
-    p.add_argument("--ordering", choices=["arch_line", "local_z", "center_distance", "random"], default=None)
+    p.add_argument("--ordering", choices=ORDERING_MODES, default=None)
     p.add_argument("--k", type=float, default=5.0)
     p.set_defaults(func=_cmd_iterate)
 

@@ -1,10 +1,11 @@
 """Run configuration: one JSON file covering augmentation, loss
 weights, serialization, and the master seed.
 
-Unknown keys are rejected at every level so a typo cannot silently
-fall back to a default. Environment variables are never consulted.
-The augmentation and loss sections are defined here, so reading a
-config loads neither the augmentation nor the loss code.
+Unknown keys and values of the wrong type are rejected at every level,
+so a typo cannot silently fall back to a default. Environment variables
+are never consulted. The augmentation and loss sections are defined
+here, so reading a config loads neither the augmentation nor the loss
+code.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .case import ORDERING_MODES
+from .case import ORDERING_MODES, is_finite_number
 from .errors import ConfigError
 
 
@@ -26,7 +27,6 @@ class AugmentConfig:
     trans_sigma: float = 0.3  # mm
     gap_threshold: float = 2.35  # mm
     arch_dist_range: tuple[float, float] = (0.0, 2.2)  # mm
-    constraint_ratio: float = 0.54
     ordinary_prob: float = 0.62
     max_collision_iters: int = 10
 
@@ -36,10 +36,8 @@ class AugmentConfig:
         lo, hi = self.arch_dist_range
         if not (0 <= lo <= hi):
             raise ConfigError("arch_dist_range must be 0 <= lo <= hi")
-        for name in ("constraint_ratio", "ordinary_prob"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise ConfigError(f"{name} must lie in [0, 1]")
+        if not (0.0 <= self.ordinary_prob <= 1.0):
+            raise ConfigError("ordinary_prob must lie in [0, 1]")
         if self.max_collision_iters < 1:
             raise ConfigError("max_collision_iters must be at least 1")
 
@@ -70,8 +68,6 @@ class Config:
     seed: int = 0
     ordering: str = "arch_line"
     points_per_tooth: int = 512
-    window_size: int = 8
-    labial_positive: bool = True
     augment: AugmentConfig = field(default_factory=AugmentConfig)
     loss: LossWeights = field(default_factory=LossWeights)
 
@@ -82,52 +78,55 @@ class Config:
             raise ConfigError(f"ordering must be one of {sorted(ORDERING_MODES)}")
         if self.points_per_tooth < 1:
             raise ConfigError("points_per_tooth must be positive")
-        if self.window_size < 1:
-            raise ConfigError("window_size must be positive")
         self.augment.validate()
         try:
             self.loss.validate()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
-    def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["augment"]["arch_dist_range"] = list(self.augment.arch_dist_range)
-        out["loss"]["delta"] = list(self.loss.delta)
-        return out
+
+def _checked(name: str, value, default, context: str):
+    """``value`` if it has the type of the field's default; list-valued
+    fields arrive as JSON lists and leave as float tuples."""
+    if isinstance(default, tuple):
+        if not (
+            isinstance(value, (list, tuple))
+            and len(value) == len(default)
+            and all(is_finite_number(v) for v in value)
+        ):
+            raise ConfigError(f"{context}.{name} must be a list of {len(default)} finite numbers")
+        return tuple(float(v) for v in value)
+    if isinstance(default, float):
+        ok, kind = is_finite_number(value), "a finite number"
+    elif isinstance(default, int):
+        ok, kind = isinstance(value, int) and not isinstance(value, bool), "an integer"
+    else:
+        ok, kind = isinstance(value, str), "a string"
+    if not ok:
+        raise ConfigError(f"{context}.{name} must be {kind}, got {value!r}")
+    return value
 
 
-def _build(cls, data: dict, context: str):
-    allowed = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - allowed
+def _build(cls, data: dict, context: str, **sections):
+    defaults = {f.name: f.default for f in dataclasses.fields(cls) if f.name not in sections}
+    unknown = set(data) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown {context} keys: {sorted(unknown)}")
-    return cls(**data)
+    checked = {k: _checked(k, v, defaults[k], context) for k, v in data.items()}
+    return cls(**checked, **sections)
 
 
 def config_from_dict(data: dict) -> Config:
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
     data = dict(data)
-    aug_data = data.pop("augment", {})
-    loss_data = data.pop("loss", {})
-    if not isinstance(aug_data, dict) or not isinstance(loss_data, dict):
-        raise ConfigError("augment and loss sections must be objects")
-    aug_data = dict(aug_data)
-    loss_data = dict(loss_data)
-    if "arch_dist_range" in aug_data:
-        rng = aug_data["arch_dist_range"]
-        if not (isinstance(rng, (list, tuple)) and len(rng) == 2):
-            raise ConfigError("arch_dist_range must be a [lo, hi] pair")
-        aug_data["arch_dist_range"] = (float(rng[0]), float(rng[1]))
-    if "delta" in loss_data:
-        delta = loss_data["delta"]
-        if not (isinstance(delta, (list, tuple)) and len(delta) == 4):
-            raise ConfigError("delta must be a list of 4 weights")
-        loss_data["delta"] = tuple(float(v) for v in delta)
-    augment = _build(AugmentConfig, aug_data, "augment")
-    loss = _build(LossWeights, loss_data, "loss")
-    config = _build(Config, {**data, "augment": augment, "loss": loss}, "config")
+    sections = {}
+    for name, cls in (("augment", AugmentConfig), ("loss", LossWeights)):
+        section = data.pop(name, {})
+        if not isinstance(section, dict):
+            raise ConfigError(f"the {name} section must be an object")
+        sections[name] = _build(cls, section, name)
+    config = _build(Config, data, "config", **sections)
     config.validate()
     return config
 
@@ -136,6 +135,6 @@ def load_config(path: str) -> Config:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # bad UTF-8, JSON, nesting
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return config_from_dict(data)

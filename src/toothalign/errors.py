@@ -67,10 +67,6 @@ class DegenerateAxis(ComputationError):
     """A tooth's incisal peak coincides with its centroid."""
 
 
-class MissingArchLine(ValidationError):
-    """Arch-line point ordering was requested without an arch line."""
-
-
 class TransformForAbsentTooth(ValidationError):
     """A transform was supplied for a tooth that is not present."""
 

@@ -216,11 +216,6 @@ class RigidTransform:
         return quat_rotation_angle(self.rotation)
 
 
-def apply_transform(transform: RigidTransform, points) -> np.ndarray:
-    """Functional alias for :meth:`RigidTransform.apply`."""
-    return transform.apply(points)
-
-
 # -------------------------------------------------------- rigid registration
 
 def kabsch_recover(src, dst) -> RigidTransform:

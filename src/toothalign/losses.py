@@ -324,13 +324,6 @@ def _incisal_peak(tooth: Tooth) -> np.ndarray:
     return tooth.points[idx]
 
 
-def anterior_uniformity_loss(
-    pred_case: Case, gt_case: Case, omega_ant: float = float(1.0 / np.pi)
-) -> float:
-    value, _, _ = anterior_uniformity_parts(pred_case, gt_case, omega_ant)
-    return value
-
-
 def anterior_uniformity_parts(
     pred_case: Case, gt_case: Case, omega_ant: float = float(1.0 / np.pi)
 ) -> tuple[float, float, float]:
@@ -357,13 +350,6 @@ def anterior_uniformity_parts(
         dot = float(np.clip(va @ vb / (na * nb), -1.0, 1.0))
         l_ang += float(np.arccos(dot))
     return l_pos + omega_ant * l_ang, l_pos, l_ang
-
-
-def uniformity_loss(pred_case: Case, gt_case: Case, weights: LossWeights | None = None) -> float:
-    w = weights or LossWeights()
-    ant = anterior_uniformity_loss(pred_case, gt_case, w.omega_anterior)
-    pior = posterior_uniformity_loss(pred_case, w.tau)
-    return ant + w.w_posterior * pior
 
 
 # ------------------------------------------------------------- total loss

@@ -23,7 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
-from .case import NORM_SCALE_MM, Case, ToothPointImage, tooth_centers
+from .case import (
+    NORM_SCALE_MM,
+    Case,
+    ToothPointImage,
+    build_tooth_point_image,
+    tooth_assembler,
+    tooth_centers,
+)
 from .errors import BadHeadCount, IndivisibleGrid, OddColumns
 from .geometry import RigidTransform, quat_normalize
 
@@ -329,7 +336,7 @@ def _block(rng, c: int) -> dict:
     }
 
 
-def init_weights(seed: int, channels: int = CHANNELS, heads: int = HEADS, window: int = 8) -> dict:
+def init_weights(seed: int, channels: int = CHANNELS, heads: int = HEADS) -> dict:
     """Full seeded parameter set. One shared block per SWTBS branch;
     distinct blocks per SWTP stage. Biases start at zero."""
     if channels % heads:
@@ -338,7 +345,7 @@ def init_weights(seed: int, channels: int = CHANNELS, heads: int = HEADS, window
     mlp1 = _linear(rng, 3, channels)
     mlp2 = _linear(rng, channels, channels)
     weights = {
-        "meta": {"channels": channels, "heads": heads, "window": window},
+        "meta": {"channels": channels, "heads": heads},
         "patch_embed": _linear(rng, 3, channels),
         "center_mlp": {"w1": mlp1["w"], "b1": mlp1["b"], "w2": mlp2["w"], "b2": mlp2["b"]},
         "center_block": _block(rng, channels),
@@ -442,11 +449,7 @@ def predict_transforms(
 
 def predict_case(case: Case, weights: dict, ordering: str = "arch_line", seed: int = 0) -> Case:
     """One forward pass applied back onto the case geometry."""
-    from .arch import fit_case_arches
-    from .case import build_tooth_point_image, tooth_assembler
-
-    arches = fit_case_arches(case) if ordering == "arch_line" else None
-    tpi = build_tooth_point_image(case, ordering=ordering, arches=arches, seed=seed)
+    tpi = build_tooth_point_image(case, ordering=ordering, seed=seed)
     transforms = predict_transforms(tpi, tooth_centers(case), weights)
     moved_only = {tid: t for tid, t in transforms.items() if case.tooth(tid).moved}
     return tooth_assembler(case, moved_only)

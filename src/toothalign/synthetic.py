@@ -138,10 +138,14 @@ def _build_jaw(side: str, ids: list[int], params: SynthParams, rng) -> Jaw:
     clouds: list[np.ndarray] = []
     for _ in range(3):  # placement passes: measure gaps, then correct spacing
         total_span = float(spacing.sum()) + float(sizes[0] + sizes[-1]) / 2.0
-        if total_span + 2.0 * margin > curve.total():
+        need, offer = total_span + 2.0 * margin, curve.total()
+        if need > offer:
+            digits = 1  # the fewest decimals that tell the two lengths apart
+            while f"{need:.{digits}f}" == f"{offer:.{digits}f}":
+                digits += 1
             raise InfeasibleParams(
-                f"{side} jaw: {n} crowns need {total_span + 2 * margin:.1f} mm of arch "
-                f"but the curve offers {curve.total():.1f} mm"
+                f"{side} jaw: {n} crowns need {need:.{digits}f} mm of arch "
+                f"but the curve offers {offer:.{digits}f} mm"
             )
         start = (curve.total() - total_span) / 2.0 + sizes[0] / 2.0
         arcs = start + np.concatenate([[0.0], np.cumsum(spacing)])

@@ -256,7 +256,7 @@ def test_criterion_06_constrained_augmentation_contract(corpus):
         out, report = constrained_augment_case_report(case, seed=5000 + k, config=config)
         for side in ("upper", "lower"):
             jaw = out.jaw(side)
-            tree_pairs = {(a, b) for a, b, _ in detect_collisions(jaw).pairs}
+            tree_pairs = {(a, b) for a, b, _ in detect_collisions(jaw)}
             brute_pairs = brute_collision_pairs(jaw.present_teeth())
             if tree_pairs != brute_pairs:
                 violations.append((case.id, side, "tree/brute disagree"))
@@ -303,7 +303,7 @@ def test_criterion_07_bvh_equals_brute_pairs():
     for _ in range(100):
         teeth = [_blob_tooth(k + 1, rng) for k in range(6)]
         jaw = Jaw("upper", teeth)
-        got = {(a, b) for a, b, _ in detect_collisions(jaw).pairs}
+        got = {(a, b) for a, b, _ in detect_collisions(jaw)}
         want = brute_collision_pairs(teeth)
         mismatches += int(got != want)
     elapsed = time.perf_counter() - start

@@ -179,8 +179,6 @@ def test_serialize_sign_ordering():
     pts = np.array([[0.0, 1.0, 0.0], [0.0, -1.0, 0.0]])  # labial, lingual
     tooth = Tooth(id=8, points=pts)
     assert serialize_points(tooth, arch).tolist() == [1, 0]
-    # flipped convention reverses the direction
-    assert serialize_points(tooth, arch, labial_positive=False).tolist() == [0, 1]
 
 
 def test_serialize_permutation_invariant(jaw_arch, corpus, rng):

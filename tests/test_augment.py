@@ -6,17 +6,16 @@ from toothalign.augment import (
     AugmentConfig,
     adjacent_gaps,
     check_constraints,
-    constrained_augment_case,
     constrained_augment_case_report,
     detect_collisions,
     jaw_regularize,
     ordinary_augment,
     penetration_distance,
     perturb_tooth,
-    resolve_collisions,
     resolve_collisions_verbose,
 )
 from toothalign.case import Jaw, Tooth
+from toothalign.config import config_from_dict
 from toothalign.errors import CollisionUnresolved, ConfigError, NoCollision
 from toothalign.seeding import derive_seed
 
@@ -39,21 +38,36 @@ def _tooth(tid, pts, radius=0.25, gt=None):
 # ------------------------------------------------------------------ config
 
 @pytest.mark.parametrize(
-    "kwargs",
+    "kwargs",  # a config document
     [
-        {"rot_range": -1.0},
-        {"trans_sigma": -0.1},
-        {"gap_threshold": -2.0},
-        {"arch_dist_range": (2.0, 1.0)},
-        {"arch_dist_range": (-0.5, 1.0)},
-        {"constraint_ratio": 1.5},
-        {"ordinary_prob": -0.1},
-        {"max_collision_iters": 0},
+        {"augment": {"rot_range": -1.0}},
+        {"augment": {"trans_sigma": -0.1}},
+        {"augment": {"gap_threshold": -2.0}},
+        {"augment": {"arch_dist_range": [2.0, 1.0]}},
+        {"augment": {"arch_dist_range": [-0.5, 1.0]}},
+        {"augment": {"ordinary_prob": 1.5}},
+        {"augment": {"ordinary_prob": -0.1}},
+        {"augment": {"max_collision_iters": 0}},
+        # values of the wrong type
+        {"points_per_tooth": "a"},
+        {"points_per_tooth": 1.5},
+        {"seed": True},
+        {"ordering": 3},
+        {"augment": {"rot_range": "x"}},
+        {"augment": {"max_collision_iters": 2.5}},
+        {"augment": {"arch_dist_range": ["a", 1]}},
+        {"augment": {"arch_dist_range": [0.0, float("nan")]}},
+        {"loss": {"tau": None}},
+        {"loss": {"tau": float("inf")}},
+        {"loss": {"omega": 10**400}},
+        {"loss": {"delta": [1, 2, 3, "z"]}},
+        {"loss": {"delta": [1, 2, 3]}},
+        {"loss": []},
     ],
 )
 def test_config_rejects(kwargs):
     with pytest.raises(ConfigError):
-        AugmentConfig(**kwargs).validate()
+        config_from_dict(kwargs)
 
 
 # ------------------------------------------------------------ perturbation
@@ -127,7 +141,7 @@ def test_detect_collisions_matches_brute(rng):
             pts = center + rng.normal(0.0, 1.2, size=(40, 3))
             teeth.append(_tooth(k + 1, pts))
         jaw = Jaw("upper", teeth)
-        got = {(a, b) for a, b, _ in detect_collisions(jaw).pairs}
+        got = {(a, b) for a, b, _ in detect_collisions(jaw)}
         want = brute_collision_pairs(teeth)
         assert got == want
 
@@ -136,12 +150,12 @@ def test_separation_step_clears_single_pair():
     a = _tooth(3, [[0.0, 0.0, 0.0]])
     b = _tooth(4, [[0.3, 0.0, 0.0]])
     jaw = Jaw("upper", [a, b])
-    pairs = detect_collisions(jaw).pairs
+    pairs = detect_collisions(jaw)
     assert len(pairs) == 1
     _, _, step = pairs[0]
     # slide b straight away by the step: contact must be cleared
     b.points = b.points + np.array([step, 0.0, 0.0])
-    assert not detect_collisions(jaw).pairs
+    assert not detect_collisions(jaw)
 
 
 def test_adjacent_gaps_matches_brute(corpus):
@@ -231,9 +245,9 @@ def test_resolve_clears_forced_overlap(corpus):
     direction = a.centroid() - b.centroid()
     direction /= np.linalg.norm(direction)
     b.points = b.points + (gap + 0.6) * direction
-    assert detect_collisions(jaw).pairs
+    assert detect_collisions(jaw)
     fixed, iters = resolve_collisions_verbose(jaw, arch, AugmentConfig())
-    assert not detect_collisions(fixed).pairs
+    assert not detect_collisions(fixed)
     assert 1 <= iters <= 10
 
 
@@ -254,16 +268,16 @@ def test_resolve_gives_up_honestly(corpus):
     a, b = jaw.teeth[5], jaw.teeth[6]
     b.points = b.points + 0.9 * (a.centroid() - b.centroid())
     with pytest.raises(CollisionUnresolved):
-        resolve_collisions(jaw, arch, AugmentConfig(max_collision_iters=1))
+        resolve_collisions_verbose(jaw, arch, AugmentConfig(max_collision_iters=1))
 
 
 # ------------------------------------------------------------ case drivers
 
 def test_constrained_augment_deterministic(corpus):
     case = corpus[8]
-    a = constrained_augment_case(case, seed=21)
-    b = constrained_augment_case(case, seed=21)
-    c = constrained_augment_case(case, seed=22)
+    a, _ = constrained_augment_case_report(case, seed=21)
+    b, _ = constrained_augment_case_report(case, seed=21)
+    c, _ = constrained_augment_case_report(case, seed=22)
     for ta, tb in zip(a.upper.teeth + a.lower.teeth, b.upper.teeth + b.lower.teeth):
         assert np.array_equal(ta.points, tb.points)
     assert any(

@@ -1,9 +1,13 @@
+import copy
 import json
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from toothalign.arch import fit_case_arches
+from toothalign.arch import fit_case_arches, serialize_points
 from toothalign.case import (
     ANTERIOR_IDS,
     LOWER_IDS,
@@ -29,10 +33,12 @@ from toothalign.case import (
     validate_case,
 )
 from toothalign.errors import (
+    ComputationError,
     DuplicateTooth,
-    MissingArchLine,
     SchemaViolation,
+    TooFewTeeth,
     TransformForAbsentTooth,
+    ValidationError,
     WrongPointCount,
 )
 from toothalign.geometry import RigidTransform, quat_from_axis_angle
@@ -104,6 +110,55 @@ def test_from_dict_rejects_wrong_jaw_and_schema():
         case_from_dict({"id": "x"})
 
 
+def _tooth_doc(tid, k):
+    pts = [[float(k), float(i), 0.5 * i] for i in range(4)]
+    return {"id": tid, "present": True, "moved": True, "proxy_radius": 0.25,
+            "points": pts, "gt_points": [[x + 0.1, y, z] for x, y, z in pts]}
+
+
+_TINY_DOC = {
+    "id": "tiny",
+    "upper": [_tooth_doc(3, 0), _tooth_doc(4, 1)],
+    "lower": [_tooth_doc(19, 2), _tooth_doc(20, 3)],
+}
+
+
+def _paths(doc, prefix=()):
+    """Every object key and list index under ``doc``, leaves included."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+_BAD_VALUES = ["a", "1.5", None, True, False, float("nan"), float("inf"), 10**400, -1, 0,
+               2.5, [], [1, 2], [1, 2, 3, 4], [[1, 2, 3]], {}, {"x": 1}]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(list(_paths(_TINY_DOC))), st.sampled_from(_BAD_VALUES))
+def test_mutated_case_document_fails_typed(path, value):
+    doc = copy.deepcopy(_TINY_DOC)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    try:
+        case = case_from_dict(doc, expected_points=4)
+    except (ValidationError, ComputationError):
+        case = None
+    is_coordinate = len(path) == 5 and path[2] in ("points", "gt_points")
+    if is_coordinate:
+        # a coordinate is accepted exactly when it is a number a float holds
+        valid = type(value) in (int, float) and abs(value) <= sys.float_info.max
+        assert (case is not None) == valid, (path, value)
+
+
 # ---------------------------------------------------------- point orderings
 
 def test_order_local_z():
@@ -129,17 +184,16 @@ def test_order_random_deterministic():
 
 def test_tooth_point_image_rows(case7):
     arches = fit_case_arches(case7)
-    tpi = build_tooth_point_image(case7, "arch_line", arches)
+    tpi = build_tooth_point_image(case7, "arch_line")
     assert tpi.data.shape == (32, POINT_COUNT, 3)
     present_ids = {t.id for t in case7.present_teeth()}
     for row in range(32):
         if row + 1 in present_ids:
             assert tpi.presence[row]
             tooth = case7.tooth(row + 1)
-            # same multiset of points, permuted
-            assert np.allclose(
-                np.sort(tpi.data[row], axis=0), np.sort(tooth.points, axis=0)
-            )
+            # permuted by the arch line fitted to the tooth's own jaw
+            perm = serialize_points(tooth, arches[jaw_of_id(tooth.id)])
+            assert np.array_equal(tpi.data[row], tooth.points[perm])
         else:
             assert not tpi.presence[row]
             assert not tpi.data[row].any()
@@ -158,8 +212,11 @@ def test_tooth_point_image_single_tooth():
 
 
 def test_tooth_point_image_requires_arch(case7):
-    with pytest.raises(MissingArchLine):
-        build_tooth_point_image(case7, "arch_line", None)
+    # the arch_line ordering fits each jaw's arch, which needs two teeth
+    pts = np.random.default_rng(0).normal(size=(POINT_COUNT, 3))
+    solo = Case("solo", Jaw("upper", [Tooth(id=4, points=pts)]), Jaw("lower", []))
+    with pytest.raises(TooFewTeeth):
+        build_tooth_point_image(solo, "arch_line")
     with pytest.raises(ValueError):
         build_tooth_point_image(case7, "no_such_mode")
 

@@ -196,12 +196,13 @@ def test_augment_ordinary(capsys, case_file, tmp_path):
     assert out.exists()
 
 
-def test_augment_bad_ratio_exits_1(capsys, case_file, tmp_path):
-    code, _ = _run(
-        capsys,
-        ["augment", "--in", str(case_file), "--ratio", "1.5", "-o", str(tmp_path / "x.json")],
-    )
+def test_augment_bad_config_exits_1(capsys, case_file, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(dumps_json({"augment": {"ordinary_prob": 1.5}}))
+    out = tmp_path / "x.json"
+    code, _ = _run(capsys, ["augment", "--in", str(case_file), "--config", str(cfg), "-o", str(out)])
     assert code == 1
+    assert not out.exists()
 
 
 # ------------------------------------------------------------------- loss
@@ -369,6 +370,58 @@ def test_out_of_range_argument_exits_1_with_one_log_line(
     assert len(records) == 1
     assert records[0].getMessage().startswith("InvalidArgument: ")
     assert list(tmp_path.iterdir()) == []
+
+
+def _set(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+@pytest.mark.parametrize(
+    "where, path, value",
+    [
+        ("case", ("upper", 0, "points", 0), ["a", 1, 2]),
+        ("case", ("upper", 0, "points", 0), [1, 2]),
+        ("case", ("upper", 0, "points", 0), None),
+        ("case", ("upper", 0, "points", 0), [True, 1, 2]),
+        ("case", ("lower", 1, "gt_points", 3), ["1.5", 1, 2]),
+        ("case", ("lower", 1, "gt_points", 3, 2), None),
+        ("config", ("points_per_tooth",), "a"),
+        ("config", ("augment", "max_collision_iters"), 2.5),
+        ("config", ("loss", "delta"), [1, 2, 3, "z"]),
+    ],
+)
+def test_malformed_document_exits_1_with_one_log_line(
+    where, path, value, capsys, caplog, case_file, tmp_path
+):
+    docs = {"case": json.loads(case_file.read_text()), "config": {"augment": {}, "loss": {}}}
+    _set(docs[where], path, value)
+    for name, doc in docs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    argv = ["serialize", "--in", str(tmp_path / "case.json"), "--config", str(tmp_path / "config.json")]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    records = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert len(records) == 1
+    want = "SchemaViolation: " if where == "case" else "ConfigError: "
+    assert records[0].getMessage().startswith(want)
+
+
+@pytest.mark.parametrize("flag", ["--in", "--config"])
+@pytest.mark.parametrize(
+    "content", [b"\xff\xfe{}", b"[" * 100_000, b"1" * 5000], ids=["utf8", "deep", "bigint"]
+)
+def test_unreadable_file_exits_1(flag, content, capsys, caplog, case_file, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    code = main(["serialize", "--in", str(case_file), flag, str(bad)])
+    assert code == 1
+    assert capsys.readouterr().out == ""
+    assert len([r for r in caplog.records if r.levelname == "ERROR"]) == 1
 
 
 def test_help_exits_0(capsys):

@@ -4,7 +4,6 @@ import pytest
 from toothalign.errors import DegenerateCloud, EmptyCloud, InsufficientPoints
 from toothalign.geometry import (
     RigidTransform,
-    apply_transform,
     axis_angle_from_quat,
     centroid,
     fps_sample,
@@ -90,7 +89,6 @@ def test_apply_transform_formula(rng):
     r = quat_to_matrix(q)
     want = (pts - pivot) @ r.T + pivot + trans
     assert np.allclose(t.apply(pts), want, atol=1e-12)
-    assert np.allclose(apply_transform(t, pts), want, atol=1e-12)
 
 
 def test_transform_preserves_distances(rng):

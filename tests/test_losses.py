@@ -19,7 +19,6 @@ from toothalign.losses import (
     recovered_transforms,
     rot_trans_loss,
     total_loss,
-    uniformity_loss,
     val_theta_fn,
 )
 from toothalign.synthetic import generate_synthetic_case
@@ -283,11 +282,13 @@ def test_anterior_degenerate_axis_raises():
 
 
 def test_uniformity_combines_with_posterior_weight():
-    up_a = _tooth(3, [[0.0, 0.0, 1.0], [0.0, 0.0, 3.0]])
+    up_a = _tooth(3, [[0.0, 0.0, 1.0], [0.0, 0.0, 3.0], [0.0, 0.0, 2.0]])
     lo_a = _tooth(19, [[0.0, 0.0, 0.0]], moved=False)
     case = _case("p", [up_a], [lo_a])
     # no anterior teeth: the posterior variance is doubled by w_posterior
-    assert uniformity_loss(case, case) == 2.0 * posterior_uniformity_loss(case)
+    bd = total_loss(case, case)
+    assert bd.l_uni_ant == 0.0
+    assert bd.l_uni == 2.0 * posterior_uniformity_loss(case) > 0.0
 
 
 # ------------------------------------------------------------------- total

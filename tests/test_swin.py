@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from toothalign.arch import fit_case_arches
 from toothalign.case import build_tooth_point_image, tooth_centers
 from toothalign.errors import BadHeadCount, IndivisibleGrid, OddColumns
 from toothalign.swin import (
@@ -326,8 +325,7 @@ def test_zero_biases_scrubs_everything():
 # -------------------------------------------------------------- full model
 
 def test_predict_transforms_contract(weights, case7):
-    arches = fit_case_arches(case7)
-    tpi = build_tooth_point_image(case7, ordering="arch_line", arches=arches)
+    tpi = build_tooth_point_image(case7, ordering="arch_line")
     out = predict_transforms(tpi, tooth_centers(case7), weights)
     present_ids = {t.id for t in case7.upper.teeth + case7.lower.teeth}
     assert set(out) == present_ids
@@ -342,8 +340,7 @@ def test_predict_transforms_absent_omitted(weights, case7):
     case = case7.copy()
     victim = case.upper.teeth[3]
     victim.present = False
-    arches = fit_case_arches(case)
-    tpi = build_tooth_point_image(case, ordering="arch_line", arches=arches)
+    tpi = build_tooth_point_image(case, ordering="arch_line")
     out = predict_transforms(tpi, tooth_centers(case), weights)
     assert victim.id not in out
     assert len(out) == 23
@@ -353,7 +350,6 @@ def test_predict_transforms_empty_case(weights, case7):
     case = case7.copy()
     for t in case.upper.teeth + case.lower.teeth:
         t.present = False
-    arches = None  # no teeth, no arch
     tpi = build_tooth_point_image(case, ordering="local_z")
     assert predict_transforms(tpi, tooth_centers(case), weights) == {}
 

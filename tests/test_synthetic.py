@@ -2,12 +2,15 @@
 invariants the rest of the suite leans on (collision-free gt, controlled
 gaps, exact oracle transforms, determinism)."""
 
+import re
+
 import numpy as np
 import pytest
 
 from toothalign.augment import adjacent_gaps, detect_collisions
 from toothalign.errors import ConfigError, InfeasibleParams
 from toothalign.geometry import kabsch_recover, rotation_angle_between
+from toothalign.seeding import derive_seed
 from toothalign.synthetic import SynthParams, generate_synthetic_case
 
 from conftest import gt_view
@@ -42,8 +45,8 @@ def test_seed_changes_output():
 def test_gt_layout_is_collision_free(small_corpus):
     for case in small_corpus:
         for jaw in (case.upper, case.lower):
-            report = detect_collisions(gt_view_jaw(case, jaw))
-            assert not report.pairs, f"{case.id}/{jaw.side}: {report.pairs}"
+            pairs = detect_collisions(gt_view_jaw(case, jaw))
+            assert not pairs, f"{case.id}/{jaw.side}: {pairs}"
 
 
 def gt_view_jaw(case, jaw):
@@ -116,6 +119,17 @@ def test_infeasible_arch_raises():
     params = SynthParams(teeth_per_jaw=16, arch_width=40.0, arch_depth=18.0)
     with pytest.raises(InfeasibleParams):
         generate_synthetic_case(params, seed=0)
+
+
+
+def test_infeasible_message_shows_need_above_offer():
+    # `gen --teeth 12 --seed 5` misses on its second case by under 0.05 mm,
+    # which one decimal would print as equal lengths
+    case_id = "synth5-001"
+    with pytest.raises(InfeasibleParams) as info:
+        generate_synthetic_case(SynthParams(teeth_per_jaw=12), derive_seed(5, "gen", case_id), case_id)
+    need, offer = (float(v) for v in re.findall(r"(\d+\.\d+) mm", str(info.value)))
+    assert need > offer
 
 
 @pytest.mark.parametrize(

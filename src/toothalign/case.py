@@ -206,7 +206,8 @@ def _tooth_from_dict(raw: dict, side: str, index: int, expected: int | None) -> 
                     f"{path}: gt_points and points must correspond index-wise"
                 )
     else:
-        if raw.get("points") or raw.get("gt_points"):
+        # an absent tooth may omit its clouds or leave them null or empty
+        if any(raw.get(key) not in (None, []) for key in ("points", "gt_points")):
             raise SchemaViolation("absent tooth must not carry points", path)
     return Tooth(tid, present, moved, points, gt_points, radius)
 

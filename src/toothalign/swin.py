@@ -10,14 +10,15 @@ sharing, and masking behavior, not clinical accuracy.
 Grid conventions: a 2D feature grid is (rows, cols, C) with rows fixed
 at 32 (one per tooth slot) — attention windows tile rows x cols but
 merging only ever halves cols. A 1D token sequence is (n, C). Absent
-teeth are handled by masking: their rows are blocked as attention keys
-and their attention outputs are zeroed, so with zero biases an
-all-zero row stays exactly zero through the whole network.
+teeth are handled by masking: their cells are blocked as attention
+keys, and a block neither normalizes them nor runs attention output or
+MLP on them, so an invalid cell leaves every block unchanged. With zero
+biases an all-zero row therefore stays exactly zero through the whole
+network.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,6 +157,10 @@ def window_attention(
     ``windows`` is (nwin, L, C) (flatten tile dims first). Disallowed
     keys get zero attention weight; a query with no allowed key yields
     a zero row. Softmax rows over allowed keys sum to 1.
+
+    The mask enters as an additive 0/-inf bias on the scores, and the
+    softmax runs in place on the one scores buffer: exp(-inf) is
+    already 0, so no second masking pass is needed.
     """
     nwin, length, c = windows.shape
     if c % heads:
@@ -166,21 +171,32 @@ def window_attention(
         # (nwin, heads, L, dh) views make both contractions batched BLAS matmuls.
         return x.reshape(nwin, length, heads, dh).transpose(0, 2, 1, 3)
 
+    # Three projections, not one (C, 3C) GEMM: the fused product is no
+    # faster here and OpenBLAS rounds it differently at some widths.
     q = heads_first(windows @ weights["wq"] + weights["bq"])
     k = heads_first(windows @ weights["wk"] + weights["bk"])
     v = heads_first(windows @ weights["wv"] + weights["bv"])
-    scores = (q @ k.transpose(0, 1, 3, 2)) / np.sqrt(dh)
+    scores = q @ k.transpose(0, 1, 3, 2)
+    scores /= np.sqrt(dh)
     if allow is not None:
-        scores = np.where(allow[:, None, :, :], scores, -np.inf)
+        scores += np.where(allow, 0.0, -np.inf)[:, None, :, :]
     top = scores.max(axis=-1, keepdims=True)
-    top = np.where(np.isfinite(top), top, 0.0)
-    e = np.exp(scores - top)
-    if allow is not None:
-        e = np.where(allow[:, None, :, :], e, 0.0)
-    denom = e.sum(axis=-1, keepdims=True)
-    probs = e / np.where(denom == 0.0, 1.0, denom)
-    out = (probs @ v).transpose(0, 2, 1, 3).reshape(nwin, length, c)
+    # a query with no allowed key has top -inf; 0 keeps its exps 0, not NaN
+    top[~np.isfinite(top)] = 0.0
+    scores -= top
+    np.exp(scores, out=scores)
+    denom = scores.sum(axis=-1, keepdims=True)
+    denom[denom == 0.0] = 1.0
+    scores /= denom
+    out = (scores @ v).transpose(0, 2, 1, 3).reshape(nwin, length, c)
     return out @ weights["wo"] + weights["bo"]
+
+
+def _norm_mlp_residual(x: np.ndarray, weights: dict) -> np.ndarray:
+    """x + MLP(norm(x)) over (..., C) rows."""
+    mlp = weights["mlp"]
+    h = _gelu(layer_norm(x, weights["ln2"]) @ mlp["w1"] + mlp["b1"])
+    return x + (h @ mlp["w2"] + mlp["b2"])
 
 
 def swin_block(
@@ -195,29 +211,31 @@ def swin_block(
 
     norm -> windowed attention -> residual, then norm -> MLP ->
     residual. ``valid`` marks live cells (1D: per token, 2D: per grid
-    cell); invalid cells neither provide keys nor receive attention
-    output, so the attention term for them is exactly zero.
+    cell). An invalid cell provides no key and skips both norms, the
+    attention output and the MLP: it leaves the block exactly as it
+    entered. The caller's ``grid`` is never written.
     """
-    x = grid
-    h = layer_norm(x, weights["ln1"])
-    if shifted and spec.shift:
-        h = cyclic_shift(h, spec.shift)
-    allow = window_allow_masks(grid.shape, spec, shifted and spec.shift > 0, valid)
+    shift = spec.shift if shifted else 0
+    if valid is None:
+        h = layer_norm(grid, weights["ln1"])
+    else:
+        valid = np.asarray(valid, dtype=bool)
+        h = np.zeros_like(grid)
+        h[valid] = layer_norm(grid[valid], weights["ln1"])
+    if shift:
+        h = cyclic_shift(h, shift)
+    allow = window_allow_masks(grid.shape, spec, shift > 0, valid)
     win = window_partition(h, spec)
     flat = win.reshape(win.shape[0], -1, win.shape[-1])
     att = window_attention(flat, weights["attn"], heads=heads, allow=allow)
     att = window_reverse(att.reshape(win.shape), grid.shape, spec)
-    if shifted and spec.shift:
-        att = cyclic_shift(att, -spec.shift)
-    if valid is not None:
-        att = att * np.asarray(valid, dtype=float)[..., None]
-    x = x + att
-    h2 = layer_norm(x, weights["ln2"])
-    mlp = _gelu(h2 @ weights["mlp"]["w1"] + weights["mlp"]["b1"])
-    mlp = mlp @ weights["mlp"]["w2"] + weights["mlp"]["b2"]
-    if valid is not None:
-        mlp = mlp * np.asarray(valid, dtype=float)[..., None]
-    return x + mlp
+    if shift:
+        att = cyclic_shift(att, -shift)
+    if valid is None:
+        return _norm_mlp_residual(grid + att, weights)
+    out = grid.copy()
+    out[valid] = _norm_mlp_residual(grid[valid] + att[valid], weights)
+    return out
 
 
 def column_merge(grid: np.ndarray, weights: dict) -> np.ndarray:
@@ -367,29 +385,6 @@ def init_weights(seed: int, channels: int = CHANNELS, heads: int = HEADS) -> dic
         },
     }
     return weights
-
-
-_BIAS_KEYS = {"b", "b1", "b2", "bq", "bk", "bv", "bo", "beta"}
-
-
-def zero_biases(weights: dict) -> dict:
-    """Copy of a weight set with every bias and norm offset zeroed;
-    used by the zero-row propagation probes."""
-    out = copy.deepcopy(weights)
-
-    def scrub(node):
-        if isinstance(node, dict):
-            for key, val in node.items():
-                if key in _BIAS_KEYS and isinstance(val, np.ndarray):
-                    node[key] = np.zeros_like(val)
-                else:
-                    scrub(val)
-        elif isinstance(node, list):
-            for item in node:
-                scrub(item)
-
-    scrub(out)
-    return out
 
 
 # ------------------------------------------------------------- full model

@@ -2,11 +2,34 @@
 
 Everything here is deliberately written the slow, obvious way (explicit
 loops, dense sampling, scipy KD-trees) and shares no code with the
-package internals beyond numpy itself.
+package internals beyond numpy itself. The network oracles are the one
+exception: they reuse the package's window layout, norm and GELU, and
+keep the plain full-grid masked path that the package's attention and
+block must reproduce bit for bit.
 """
+
+import copy
 
 import numpy as np
 from scipy.spatial import cKDTree
+
+from toothalign.swin import (
+    HEADS,
+    _gelu,
+    cyclic_shift,
+    layer_norm,
+    window_allow_masks,
+    window_partition,
+    window_reverse,
+)
+
+
+def same_bits(got, want) -> bool:
+    """Equal arrays, signed zeros told apart (np.array_equal has 0.0 == -0.0)."""
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and np.array_equal(
+        np.ascontiguousarray(got).view(np.int64), np.ascontiguousarray(want).view(np.int64)
+    )
 
 
 def brute_fps(points, n, start):
@@ -85,3 +108,85 @@ def central_difference(fn, theta, h=1e-5):
 def maxwell_mean(sigma):
     """Mean norm of an isotropic N(0, sigma^2 I_3) draw."""
     return sigma * 2.0 * np.sqrt(2.0 / np.pi)
+
+
+# ------------------------------------------------------------- network
+
+_BIAS_KEYS = {"b", "b1", "b2", "bq", "bk", "bv", "bo", "beta"}
+
+
+def map_biases(weights, fill):
+    """Copy of a weight set with every bias and norm offset ``b``
+    replaced by ``fill(b)``."""
+    out = copy.deepcopy(weights)
+
+    def scrub(node):
+        if isinstance(node, dict):
+            for key, val in node.items():
+                if key in _BIAS_KEYS and isinstance(val, np.ndarray):
+                    node[key] = fill(val)
+                else:
+                    scrub(val)
+        elif isinstance(node, list):
+            for item in node:
+                scrub(item)
+
+    scrub(out)
+    return out
+
+
+def zero_biases(weights):
+    """Copy of a weight set with every bias and norm offset zeroed;
+    used by the zero-row propagation probes."""
+    return map_biases(weights, np.zeros_like)
+
+
+def masked_window_attention(windows, weights, heads=HEADS, allow=None):
+    """Window attention with the mask applied twice by np.where: once
+    to the scores (-inf) and once to their exponentials (0)."""
+    nwin, length, c = windows.shape
+    dh = c // heads
+
+    def heads_first(x):
+        return x.reshape(nwin, length, heads, dh).transpose(0, 2, 1, 3)
+
+    q = heads_first(windows @ weights["wq"] + weights["bq"])
+    k = heads_first(windows @ weights["wk"] + weights["bk"])
+    v = heads_first(windows @ weights["wv"] + weights["bv"])
+    scores = (q @ k.transpose(0, 1, 3, 2)) / np.sqrt(dh)
+    if allow is not None:
+        scores = np.where(allow[:, None, :, :], scores, -np.inf)
+    top = scores.max(axis=-1, keepdims=True)
+    top = np.where(np.isfinite(top), top, 0.0)
+    e = np.exp(scores - top)
+    if allow is not None:
+        e = np.where(allow[:, None, :, :], e, 0.0)
+    denom = e.sum(axis=-1, keepdims=True)
+    probs = e / np.where(denom == 0.0, 1.0, denom)
+    out = (probs @ v).transpose(0, 2, 1, 3).reshape(nwin, length, c)
+    return out @ weights["wo"] + weights["bo"]
+
+
+def full_grid_swin_block(grid, spec, weights, shifted, valid=None, heads=HEADS):
+    """Swin block that norms and runs the MLP on every cell, then
+    multiplies the attention and MLP terms of invalid cells by zero."""
+    x = grid
+    h = layer_norm(x, weights["ln1"])
+    if shifted and spec.shift:
+        h = cyclic_shift(h, spec.shift)
+    allow = window_allow_masks(grid.shape, spec, shifted and spec.shift > 0, valid)
+    win = window_partition(h, spec)
+    flat = win.reshape(win.shape[0], -1, win.shape[-1])
+    att = masked_window_attention(flat, weights["attn"], heads=heads, allow=allow)
+    att = window_reverse(att.reshape(win.shape), grid.shape, spec)
+    if shifted and spec.shift:
+        att = cyclic_shift(att, -spec.shift)
+    if valid is not None:
+        att = att * np.asarray(valid, dtype=float)[..., None]
+    x = x + att
+    h2 = layer_norm(x, weights["ln2"])
+    mlp = _gelu(h2 @ weights["mlp"]["w1"] + weights["mlp"]["b1"])
+    mlp = mlp @ weights["mlp"]["w2"] + weights["mlp"]["b2"]
+    if valid is not None:
+        mlp = mlp * np.asarray(valid, dtype=float)[..., None]
+    return x + mlp

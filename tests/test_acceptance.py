@@ -49,7 +49,6 @@ from toothalign.swin import (
     window_attention,
     window_partition,
     window_reverse,
-    zero_biases,
 )
 from toothalign.synthetic import generate_synthetic_case
 
@@ -60,6 +59,7 @@ from oracles import (
     brute_min_distance,
     brute_xy_mask,
     dense_curve_distance,
+    zero_biases,
 )
 
 

@@ -9,7 +9,7 @@ from toothalign.arch import NEWTON_ITERS, PROJECTION_SEEDS, ArchLine, fit_arch_l
 from toothalign.case import Tooth
 from toothalign.errors import ArchOverrun, TooFewTeeth
 
-from oracles import dense_curve_distance
+from oracles import dense_curve_distance, same_bits
 
 
 def straight_arch(n=5):
@@ -252,14 +252,6 @@ def _ppoly_project(spline, p):
     return t[rows, pick], c[rows, pick], np.sqrt(dist2[rows, pick])
 
 
-def _same_bits(got, want) -> bool:
-    """Equal arrays, signed zeros told apart (np.array_equal has 0.0 == -0.0)."""
-    got, want = np.asarray(got), np.asarray(want)
-    return got.shape == want.shape and np.array_equal(
-        np.ascontiguousarray(got).view(np.int64), np.ascontiguousarray(want).view(np.int64)
-    )
-
-
 @PROPERTY
 @given(hermite_curves())
 def test_curve_equals_scipy_cubic_hermite_bit_for_bit(curve):
@@ -267,10 +259,10 @@ def test_curve_equals_scipy_cubic_hermite_bit_for_bit(curve):
     arch = ArchLine(knots, tangents)
     spline = CubicHermiteSpline(np.arange(len(knots), dtype=float), knots, tangents, axis=0)
     deriv = spline.derivative()
-    assert _same_bits(arch.point_at(t), spline(t))
-    assert _same_bits(arch.tangent_at(t), deriv(t))
-    assert _same_bits(arch._evaluate(t, 3)[2], deriv.derivative()(t))  # Newton's c''
-    assert _same_bits(arch.point_at(t[-1]), spline(t[-1]))  # scalar parameter
+    assert same_bits(arch.point_at(t), spline(t))
+    assert same_bits(arch.tangent_at(t), deriv(t))
+    assert same_bits(arch._evaluate(t, 3)[2], deriv.derivative()(t))  # Newton's c''
+    assert same_bits(arch.point_at(t[-1]), spline(t[-1]))  # scalar parameter
 
 
 @PROPERTY
@@ -284,4 +276,4 @@ def test_projection_equals_ppoly_projection_bit_for_bit(curve, seed):
     t = rng.uniform(-0.5, len(knots) - 0.5, 40)
     p = np.concatenate([spline(t) + rng.normal(0.0, 3.0, (40, 3)), knots, knots[[0, -1]] * 3.0])
     for got, want in zip(arch.project(p), _ppoly_project(spline, p)):
-        assert _same_bits(got, want)
+        assert same_bits(got, want)

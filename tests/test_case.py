@@ -159,6 +159,28 @@ def test_mutated_case_document_fails_typed(path, value):
         assert (case is not None) == valid, (path, value)
 
 
+@pytest.mark.parametrize(
+    "clouds, loads",
+    [
+        ({}, True),
+        ({"points": None, "gt_points": None}, True),
+        ({"points": [], "gt_points": []}, True),
+        ({"points": 0, "gt_points": {}}, False),
+        ({"points": False}, False),
+        ({"gt_points": ""}, False),
+        ({"points": [[0.0, 0.0, 0.0]]}, False),
+    ],
+)
+def test_absent_tooth_carries_no_points(clouds, loads):
+    doc = copy.deepcopy(_TINY_DOC)
+    doc["upper"].append({"id": 1, "present": False, **clouds})
+    if loads:
+        assert not case_from_dict(doc, expected_points=4).tooth(1).present
+    else:
+        with pytest.raises(SchemaViolation):
+            case_from_dict(doc, expected_points=4)
+
+
 # ---------------------------------------------------------- point orderings
 
 def test_order_local_z():

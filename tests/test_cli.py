@@ -390,6 +390,7 @@ def _set(doc, path, value):
         ("config", ("points_per_tooth",), "a"),
         ("config", ("augment", "max_collision_iters"), 2.5),
         ("config", ("loss", "delta"), [1, 2, 3, "z"]),
+        ("case", ("upper", 0), {"id": 1, "present": False, "points": 0, "gt_points": {}}),
     ],
 )
 def test_malformed_document_exits_1_with_one_log_line(

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from toothalign import swin
 from toothalign.case import build_tooth_point_image, tooth_centers
 from toothalign.errors import BadHeadCount, IndivisibleGrid, OddColumns
 from toothalign.swin import (
@@ -23,6 +26,14 @@ from toothalign.swin import (
     window_attention,
     window_partition,
     window_reverse,
+)
+from toothalign.synthetic import SynthParams, generate_synthetic_case
+
+from oracles import (
+    full_grid_swin_block,
+    map_biases,
+    masked_window_attention,
+    same_bits,
     zero_biases,
 )
 
@@ -30,6 +41,12 @@ from toothalign.swin import (
 @pytest.fixture(scope="module")
 def weights():
     return init_weights(seed=0)
+
+
+@pytest.fixture(scope="module")
+def biased_weights(weights):
+    rng = np.random.default_rng(77)
+    return map_biases(weights, lambda b: rng.normal(0.0, 0.3, size=b.shape))
 
 
 # ------------------------------------------------------------- primitives
@@ -173,6 +190,39 @@ def test_attention_orphan_query_is_zero(rng):
     assert np.allclose(out[0, 0], 1.0, atol=1e-9)
 
 
+MASKS = ["random", "window_all_false", "query_row_false", "all_true", "none"]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    nwin=st.integers(1, 4),
+    length=st.sampled_from([1, 4, 8, 16, 64]),
+    heads=st.sampled_from([1, 2, 4]),
+    dh=st.integers(1, 8),
+    scale=st.sampled_from([0.1, 1.0, 30.0]),
+    mask=st.sampled_from(MASKS),
+)
+def test_attention_equals_masked_oracle_bit_for_bit(seed, nwin, length, heads, dh, scale, mask):
+    # large scales push allowed keys to exp underflow; biases are nonzero
+    rng = np.random.default_rng(seed)
+    c = heads * dh
+    w = {k: rng.normal(0.0, 0.5, size=(c, c)) for k in ("wq", "wk", "wv", "wo")}
+    w |= {k: rng.normal(0.0, 0.5, size=c) for k in ("bq", "bk", "bv", "bo")}
+    windows = rng.normal(0.0, scale, size=(nwin, length, c))
+    allow = rng.random((nwin, length, length)) < 0.6
+    if mask == "window_all_false":
+        allow[0] = False
+    elif mask == "query_row_false":
+        allow[-1, length // 2] = False
+    elif mask == "all_true":
+        allow[:] = True
+    elif mask == "none":
+        allow = None
+    got = window_attention(windows, w, heads=heads, allow=allow)
+    assert same_bits(got, masked_window_attention(windows, w, heads=heads, allow=allow))
+
+
 def test_attention_rejects_bad_heads(rng):
     c = 30  # not divisible by 4
     weights = {k: np.zeros((c, c)) for k in ("wq", "wk", "wv", "wo")}
@@ -208,6 +258,28 @@ def test_block_zero_rows_stay_zero(weights, rng):
         for row in (0, 13, 31):
             assert not out[row].any()
         assert out[1].any()
+
+
+@pytest.mark.parametrize("shifted", [False, True])
+@pytest.mark.parametrize("shape", [(32, 16, CHANNELS), (32, CHANNELS)])
+def test_block_invalid_cells_pass_through(biased_weights, rng, shape, shifted):
+    # per-cell validity, nonzero biases: invalid cells leave the block
+    # bit for bit as they entered, valid cells match the full-grid
+    # oracle, and the caller's array is not written
+    x = rng.normal(size=shape)
+    valid = rng.random(shape[:-1]) < 0.6
+    x[~valid] = rng.choice([0.0, -0.0, 3.5], size=(int((~valid).sum()), 1))
+    before = x.copy()
+    block = biased_weights["swtp"][2]["blk_b"]
+    out = swin_block(x, DEFAULT_SPEC, block, shifted, valid=valid)
+    assert same_bits(x, before)
+    assert same_bits(out[~valid], x[~valid])
+    want = full_grid_swin_block(x, DEFAULT_SPEC, block, shifted, valid=valid)
+    assert same_bits(out[valid], want[valid])
+    assert same_bits(
+        swin_block(x, DEFAULT_SPEC, block, shifted),
+        full_grid_swin_block(x, DEFAULT_SPEC, block, shifted),
+    )
 
 
 def test_column_merge_halves_and_keeps_rows_apart(weights, rng):
@@ -365,3 +437,35 @@ def test_predict_case_deterministic(weights, case7):
         not np.array_equal(ta.points, tc.points)
         for ta, tc in zip(a.upper.teeth, case7.upper.teeth)
     )
+
+
+def _case_with_absent_teeth():
+    case = generate_synthetic_case(SynthParams(teeth_per_jaw=12), seed=5, case_id="scattered")
+    for tooth in case.upper.teeth[1::3] + case.lower.teeth[::4]:
+        tooth.present = False
+    return case
+
+
+FORWARD_CASES = {
+    "8 teeth": lambda: generate_synthetic_case(SynthParams(teeth_per_jaw=8), seed=100),
+    "9 teeth": lambda: generate_synthetic_case(SynthParams(teeth_per_jaw=9), seed=100),
+    "10 teeth": lambda: generate_synthetic_case(SynthParams(teeth_per_jaw=10), seed=100),
+    "12 teeth": lambda: generate_synthetic_case(SynthParams(teeth_per_jaw=12), seed=100),
+    "scattered absent ids": _case_with_absent_teeth,
+}
+
+
+@pytest.mark.parametrize("name", list(FORWARD_CASES))
+def test_predict_transforms_equals_full_grid_forward(weights, biased_weights, monkeypatch, name):
+    case = FORWARD_CASES[name]()
+    tpi = build_tooth_point_image(case, ordering="arch_line")
+    centers = tooth_centers(case)
+    for w in (weights, biased_weights):
+        got = predict_transforms(tpi, centers, w)
+        with monkeypatch.context() as m:
+            m.setattr(swin, "swin_block", full_grid_swin_block)
+            want = predict_transforms(tpi, centers, w)
+        assert list(got) == list(want)
+        for tid in want:
+            assert same_bits(got[tid].rotation, want[tid].rotation), tid
+            assert same_bits(got[tid].translation, want[tid].translation), tid

@@ -246,8 +246,9 @@ def resolve_collisions_verbose(
             c = mover.centroid()
             vec = arch.move_along(c, step, extend=True) - c
             _translate(mover, vec)
+    remaining = ", ".join(f"{a}-{b} (needs {step:.3f} mm)" for a, b, step in pairs)
     raise CollisionUnresolved(
-        f"collisions remain after {config.max_collision_iters} iterations"
+        f"collisions remain after {config.max_collision_iters} iterations: teeth {remaining}"
     )
 
 
@@ -312,6 +313,25 @@ def check_constraints(case: Case, config: AugmentConfig) -> dict:
     return report
 
 
+def _joint_violations(jaw: Jaw, arch: ArchLine, config: AugmentConfig) -> str:
+    """Empty when every adjacent gap and arch distance holds; otherwise
+    names the widest breaking gap and the arch distance farthest
+    outside its range."""
+    out = []
+    a, b, gap = max(adjacent_gaps(jaw), key=lambda g: g[2], default=(0, 0, 0.0))
+    if gap > config.gap_threshold + 1e-9:
+        out.append(f"gap {a}-{b} is {gap:.6g} mm > {config.gap_threshold} mm")
+    lo, hi = config.arch_dist_range
+    dists = [(_arch_distance(arch, t), t.id) for t in jaw.present_teeth()]
+    broken = [
+        (max(lo - d, d - hi), tid, d) for d, tid in dists if not lo - 1e-9 <= d <= hi + 1e-9
+    ]
+    if broken:
+        _, tid, d = max(broken)
+        out.append(f"tooth {tid} is {d:.6g} mm from the arch, outside [{lo}, {hi}] mm")
+    return "; ".join(out)
+
+
 def constrained_augment_case_report(
     gt_case: Case, seed: int, config: AugmentConfig | None = None
 ) -> tuple[Case, dict]:
@@ -338,19 +358,12 @@ def constrained_augment_case_report(
             working = jaw_regularize(working, arch, config)
             working, iters = resolve_collisions_verbose(working, arch, config)
             total_iters += iters
-            gaps_ok = all(
-                g <= config.gap_threshold + 1e-9 for _, _, g in adjacent_gaps(working)
-            )
-            lo, hi = config.arch_dist_range
-            arch_ok = all(
-                lo - 1e-9 <= _arch_distance(arch, t) <= hi + 1e-9
-                for t in working.present_teeth()
-            )
-            if gaps_ok and arch_ok:
+            violations = _joint_violations(working, arch, config)
+            if not violations:
                 break
         else:
             raise ConstraintViolation(
-                f"jaw {side}: gap and arch constraints jointly unsatisfiable"
+                f"jaw {side}: after {_JOINT_ROUNDS} joint rounds, {violations}"
             )
         iterations[side] = total_iters
         target = out.jaw(side)

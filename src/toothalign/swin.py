@@ -11,10 +11,16 @@ Grid conventions: a 2D feature grid is (rows, cols, C) with rows fixed
 at 32 (one per tooth slot) — attention windows tile rows x cols but
 merging only ever halves cols. A 1D token sequence is (n, C). Absent
 teeth are handled by masking: their cells are blocked as attention
-keys, and a block neither normalizes them nor runs attention output or
-MLP on them, so an invalid cell leaves every block unchanged. With zero
+keys, and a block neither normalizes them nor runs attention or MLP on
+them, so an invalid cell leaves every block unchanged. With zero
 biases an all-zero row therefore stays exactly zero through the whole
 network.
+
+Skipping work never moves a bit. Attention computes only live query
+rows, gathered in whole 8-row GEMM blocks per window pattern, against
+keys and values of the full window; window_attention says why the
+blocks are 8 rows. The tests hold every shortcut to a plain full-grid
+oracle, bit for bit.
 """
 
 from __future__ import annotations
@@ -38,6 +44,8 @@ from .geometry import RigidTransform, quat_normalize
 CHANNELS = 32
 HEADS = 4
 SWTP_STAGES = 4
+# query rows per attention batch; see window_attention
+_ROW_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -62,9 +70,14 @@ def _gelu(x: np.ndarray) -> np.ndarray:
 
 
 def layer_norm(x: np.ndarray, params: dict, eps: float = 1e-5) -> np.ndarray:
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return (x - mu) / np.sqrt(var + eps) * params["gamma"] + params["beta"]
+    # one centering pass, reused for the variance: the same operations
+    # np.var runs, in the same order
+    y = x - x.mean(axis=-1, keepdims=True)
+    var = (y * y).sum(axis=-1, keepdims=True) / x.shape[-1]
+    y /= np.sqrt(var + eps)
+    y *= params["gamma"]
+    y += params["beta"]
+    return y
 
 
 def window_partition(grid: np.ndarray, spec: WindowSpec = DEFAULT_SPEC) -> np.ndarray:
@@ -156,40 +169,76 @@ def window_attention(
 
     ``windows`` is (nwin, L, C) (flatten tile dims first). Disallowed
     keys get zero attention weight; a query with no allowed key yields
-    a zero row. Softmax rows over allowed keys sum to 1.
+    a zero row before the output projection, so its output is
+    ``0 @ wo + bo``. Softmax rows over allowed keys sum to 1.
+
+    Only live query rows (with at least one allowed key) are computed.
+    Windows that compute the same rows are gathered into one batch; on
+    the tooth grid that is one batch per 8-row band. Keys and values
+    stay projected over every token, in window order, so each softmax
+    sum and ``probs @ v`` adds the same terms in the same order as a
+    full-window pass. The row subset is rounded up to a multiple of 8
+    with dead rows (at most the window length): under OpenBLAS a GEMM
+    on such a subset rounds each row exactly as the full product does,
+    while other subset sizes can take other kernels (a single row goes
+    to gemv) and move the last bits. A computed dead row still gives
+    ``0 @ wo + bo``.
 
     The mask enters as an additive 0/-inf bias on the scores, and the
     softmax runs in place on the one scores buffer: exp(-inf) is
     already 0, so no second masking pass is needed.
     """
-    nwin, length, c = windows.shape
+    c = windows.shape[-1]
     if c % heads:
         raise BadHeadCount(f"{c} channels not divisible by {heads} heads")
     dh = c // heads
 
     def heads_first(x):
-        # (nwin, heads, L, dh) views make both contractions batched BLAS matmuls.
-        return x.reshape(nwin, length, heads, dh).transpose(0, 2, 1, 3)
+        # (windows, heads, rows, dh) views make both contractions batched BLAS matmuls.
+        return x.reshape(x.shape[0], x.shape[1], heads, dh).transpose(0, 2, 1, 3)
 
-    # Three projections, not one (C, 3C) GEMM: the fused product is no
-    # faster here and OpenBLAS rounds it differently at some widths.
-    q = heads_first(windows @ weights["wq"] + weights["bq"])
+    def attend(x, k, v, allow):
+        q = heads_first(x @ weights["wq"] + weights["bq"])
+        scores = q @ k.transpose(0, 1, 3, 2)
+        scores /= np.sqrt(dh)
+        if allow is not None:
+            scores += np.where(allow, 0.0, -np.inf)[:, None, :, :]
+        top = scores.max(axis=-1, keepdims=True)
+        # a query with no allowed key has top -inf; 0 keeps its exps 0, not NaN
+        top[~np.isfinite(top)] = 0.0
+        scores -= top
+        np.exp(scores, out=scores)
+        denom = scores.sum(axis=-1, keepdims=True)
+        denom[denom == 0.0] = 1.0
+        scores /= denom
+        out = (scores @ v).transpose(0, 2, 1, 3).reshape(x.shape)
+        return out @ weights["wo"] + weights["bo"]
+
+    # Separate Q, K and V projections, not one (C, 3C) GEMM: the fused
+    # product is no faster here and OpenBLAS rounds it differently at
+    # some widths.
     k = heads_first(windows @ weights["wk"] + weights["bk"])
     v = heads_first(windows @ weights["wv"] + weights["bv"])
-    scores = q @ k.transpose(0, 1, 3, 2)
-    scores /= np.sqrt(dh)
-    if allow is not None:
-        scores += np.where(allow, 0.0, -np.inf)[:, None, :, :]
-    top = scores.max(axis=-1, keepdims=True)
-    # a query with no allowed key has top -inf; 0 keeps its exps 0, not NaN
-    top[~np.isfinite(top)] = 0.0
-    scores -= top
-    np.exp(scores, out=scores)
-    denom = scores.sum(axis=-1, keepdims=True)
-    denom[denom == 0.0] = 1.0
-    scores /= denom
-    out = (scores @ v).transpose(0, 2, 1, 3).reshape(nwin, length, c)
-    return out @ weights["wo"] + weights["bo"]
+    if allow is None:
+        return attend(windows, k, v, None)
+    # each window computes its live rows, topped up with its first dead
+    # rows to a multiple of _ROW_BLOCK (at most the window length)
+    live = allow.any(axis=-1)
+    n_live = live.sum(axis=1)
+    top_up = np.minimum(-(-n_live // _ROW_BLOCK) * _ROW_BLOCK, live.shape[1]) - n_live
+    rows = live | (np.cumsum(~live, axis=1) <= top_up[:, None])
+    # rows no batch computes get the dead-row output, from an 8-row GEMM
+    out = np.empty_like(windows)
+    out[...] = (np.zeros((_ROW_BLOCK, c)) @ weights["wo"] + weights["bo"])[0]
+    _, first, group = np.unique(
+        np.packbits(rows, axis=1), axis=0, return_index=True, return_inverse=True
+    )
+    for p, w0 in enumerate(first):
+        if rows[w0].any():
+            wins = np.flatnonzero(group == p)
+            sub = np.ix_(wins, np.flatnonzero(rows[w0]))
+            out[sub] = attend(windows[sub], k[wins], v[wins], allow[sub])
+    return out
 
 
 def _norm_mlp_residual(x: np.ndarray, weights: dict) -> np.ndarray:
@@ -225,6 +274,11 @@ def swin_block(
     if shift:
         h = cyclic_shift(h, shift)
     allow = window_allow_masks(grid.shape, spec, shift > 0, valid)
+    if valid is not None:
+        # a valid cell is its own allowed key and an invalid cell is
+        # nobody's, so the diagonal is query validity: an invalid query
+        # gets no key, and window_attention skips its row
+        allow &= np.diagonal(allow, axis1=1, axis2=2)[:, :, None]
     win = window_partition(h, spec)
     flat = win.reshape(win.shape[0], -1, win.shape[-1])
     att = window_attention(flat, weights["attn"], heads=heads, allow=allow)

@@ -3,9 +3,9 @@
 Everything here is deliberately written the slow, obvious way (explicit
 loops, dense sampling, scipy KD-trees) and shares no code with the
 package internals beyond numpy itself. The network oracles are the one
-exception: they reuse the package's window layout, norm and GELU, and
-keep the plain full-grid masked path that the package's attention and
-block must reproduce bit for bit.
+exception: they reuse the package's window layout, masks and GELU, and
+keep the plain two-pass norm and full-grid masked path that the
+package's norm, attention and block must reproduce bit for bit.
 """
 
 import copy
@@ -17,7 +17,6 @@ from toothalign.swin import (
     HEADS,
     _gelu,
     cyclic_shift,
-    layer_norm,
     window_allow_masks,
     window_partition,
     window_reverse,
@@ -141,6 +140,13 @@ def zero_biases(weights):
     return map_biases(weights, np.zeros_like)
 
 
+def two_pass_layer_norm(x, params, eps=1e-5):
+    """Layer norm with the mean and np.var computed separately."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    return (x - mu) / np.sqrt(var + eps) * params["gamma"] + params["beta"]
+
+
 def masked_window_attention(windows, weights, heads=HEADS, allow=None):
     """Window attention with the mask applied twice by np.where: once
     to the scores (-inf) and once to their exponentials (0)."""
@@ -171,7 +177,7 @@ def full_grid_swin_block(grid, spec, weights, shifted, valid=None, heads=HEADS):
     """Swin block that norms and runs the MLP on every cell, then
     multiplies the attention and MLP terms of invalid cells by zero."""
     x = grid
-    h = layer_norm(x, weights["ln1"])
+    h = two_pass_layer_norm(x, weights["ln1"])
     if shifted and spec.shift:
         h = cyclic_shift(h, spec.shift)
     allow = window_allow_masks(grid.shape, spec, shifted and spec.shift > 0, valid)
@@ -184,7 +190,7 @@ def full_grid_swin_block(grid, spec, weights, shifted, valid=None, heads=HEADS):
     if valid is not None:
         att = att * np.asarray(valid, dtype=float)[..., None]
     x = x + att
-    h2 = layer_norm(x, weights["ln2"])
+    h2 = two_pass_layer_norm(x, weights["ln2"])
     mlp = _gelu(h2 @ weights["mlp"]["w1"] + weights["mlp"]["b1"])
     mlp = mlp @ weights["mlp"]["w2"] + weights["mlp"]["b2"]
     if valid is not None:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -16,8 +18,14 @@ from toothalign.augment import (
 )
 from toothalign.case import Jaw, Tooth
 from toothalign.config import config_from_dict
-from toothalign.errors import CollisionUnresolved, ConfigError, NoCollision
+from toothalign.errors import (
+    CollisionUnresolved,
+    ConfigError,
+    ConstraintViolation,
+    NoCollision,
+)
 from toothalign.seeding import derive_seed
+from toothalign.synthetic import SynthParams, generate_synthetic_case
 
 from conftest import gt_view
 from oracles import brute_collision_pairs, brute_min_distance, maxwell_mean
@@ -271,7 +279,41 @@ def test_resolve_gives_up_honestly(corpus):
         resolve_collisions_verbose(jaw, arch, AugmentConfig(max_collision_iters=1))
 
 
+def test_collision_unresolved_names_the_pairs(corpus):
+    case = corpus[7]
+    jaw = gt_view(case).upper
+    arch = fit_arch_line(jaw)
+    a, b = jaw.teeth[5], jaw.teeth[6]
+    b.points = b.points + 0.9 * (a.centroid() - b.centroid())
+    with pytest.raises(CollisionUnresolved) as err:
+        resolve_collisions_verbose(jaw, arch, AugmentConfig(max_collision_iters=1))
+    named = re.findall(r"(\d+)-(\d+) \(needs (\d+\.\d{3}) mm\)", str(err.value))
+    assert str(err.value).startswith("collisions remain after 1 iterations: teeth ")
+    assert named, err.value
+    assert [(int(x), int(y)) for x, y, _ in named] == sorted(
+        (int(x), int(y)) for x, y, _ in named
+    )
+    assert all(float(step) > 0.0 for _, _, step in named)
+
+
 # ------------------------------------------------------------ case drivers
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        (AugmentConfig(gap_threshold=0.3), r"gap 9-10 is 0\.50\d+ mm > 0\.3 mm$"),
+        (
+            AugmentConfig(arch_dist_range=(1.0, 1.0)),
+            r"tooth 11 is 0\.99\d+ mm from the arch, outside \[1\.0, 1\.0\] mm$",
+        ),
+    ],
+    ids=["gap", "arch_distance"],
+)
+def test_constraint_violation_names_the_worst_value(config, message):
+    case = generate_synthetic_case(SynthParams(teeth_per_jaw=8), seed=1000, case_id="c000")
+    with pytest.raises(ConstraintViolation, match=r"^jaw upper: after 4 joint rounds, " + message):
+        constrained_augment_case_report(case, 3, config)
+
 
 def test_constrained_augment_deterministic(corpus):
     case = corpus[8]

@@ -34,6 +34,7 @@ from oracles import (
     map_biases,
     masked_window_attention,
     same_bits,
+    two_pass_layer_norm,
     zero_biases,
 )
 
@@ -106,6 +107,23 @@ def test_layer_norm_basics(rng):
     y = layer_norm(x, params)
     assert np.allclose(y.mean(axis=-1), 0.0, atol=1e-12)
     assert np.allclose(y.std(axis=-1), 1.0, atol=1e-3)  # eps skews slightly
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    lead=st.sampled_from([(1,), (5,), (32,), (9000,), (4, 16), (32, 64)]),
+    c=st.sampled_from([1, 2, 3, 7, 8, 32, 64]),
+    loc=st.sampled_from([0.0, 2.0, -1e3]),
+    scale=st.sampled_from([1e-6, 0.1, 1.0, 30.0]),
+)
+def test_layer_norm_equals_two_pass_bit_for_bit(seed, lead, c, loc, scale):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(loc, scale, size=lead + (c,))
+    params = {"gamma": rng.normal(1.0, 0.5, size=c), "beta": rng.normal(0.0, 0.5, size=c)}
+    before = x.copy()
+    assert same_bits(layer_norm(x, params), two_pass_layer_norm(x, params))
+    assert same_bits(x, before)
 
 
 def test_gelu_frozen_values():
@@ -190,7 +208,17 @@ def test_attention_orphan_query_is_zero(rng):
     assert np.allclose(out[0, 0], 1.0, atol=1e-9)
 
 
-MASKS = ["random", "window_all_false", "query_row_false", "all_true", "none"]
+# the last two leave whole query rows dead, or whole key columns, so
+# the live-row batches of window_attention take every size
+MASKS = [
+    "random",
+    "window_all_false",
+    "query_row_false",
+    "all_true",
+    "none",
+    "dead_query_rows",
+    "dead_key_columns",
+]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -219,6 +247,10 @@ def test_attention_equals_masked_oracle_bit_for_bit(seed, nwin, length, heads, d
         allow[:] = True
     elif mask == "none":
         allow = None
+    elif mask == "dead_query_rows":
+        allow[rng.random((nwin, length)) < 0.5] = False
+    elif mask == "dead_key_columns":
+        allow[:, :, rng.random(length) < 0.5] = False
     got = window_attention(windows, w, heads=heads, allow=allow)
     assert same_bits(got, masked_window_attention(windows, w, heads=heads, allow=allow))
 
@@ -452,6 +484,11 @@ FORWARD_CASES = {
     "10 teeth": lambda: generate_synthetic_case(SynthParams(teeth_per_jaw=10), seed=100),
     "12 teeth": lambda: generate_synthetic_case(SynthParams(teeth_per_jaw=12), seed=100),
     "scattered absent ids": _case_with_absent_teeth,
+    # presence 0001111111110000 per jaw: the shifted 1D windows of the
+    # center and fusion branches hold exactly one present tooth
+    "one live token per shifted window": lambda: generate_synthetic_case(
+        SynthParams(teeth_per_jaw=9), seed=1001
+    ),
 }
 
 

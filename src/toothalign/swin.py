@@ -17,9 +17,8 @@ biases an all-zero row therefore stays exactly zero through the whole
 network.
 
 Skipping work never moves a bit. Attention computes only live query
-rows, gathered in whole 8-row GEMM blocks per window pattern, against
-keys and values of the full window; window_attention says why the
-blocks are 8 rows. The tests hold every shortcut to a plain full-grid
+rows, gathered in whole 8-row GEMM blocks, against keys and values of
+the full window; window_attention says why the blocks are 8 rows. The tests hold every shortcut to a plain full-grid
 oracle, bit for bit.
 """
 

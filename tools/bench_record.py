@@ -1,13 +1,19 @@
-"""Record one benchmark baseline as BENCH_<label>.json.
+"""Record benchmark runs in BENCH_<label>.json.
 
     python3 tools/bench_record.py --label base
 
-Runs ``bench/run.py`` of this checkout once per workload with
-``--trace 0`` (end-to-end metrics) and once with ``--trace 1``
-(per-layer metrics), and writes both JSON result lines of every run,
-the machine record and the git revision into one file at the repository
-root (or ``--out-dir``). ``--smoke`` passes ``--smoke`` on to every
-run, for tests. The exit code is 0 when every run completed.
+Runs ``bench/run.py`` of this checkout, with its own seed and run length,
+once per workload with ``--trace 0`` (end-to-end metrics) and once with
+``--trace 1`` (per-layer metrics), and writes both JSON result lines of
+every run, the machine record and the git revision into one file at the
+repository root (or ``--out-dir``). Run again with the same label, it
+adds its runs to that file, so calls alternated between a parent and a
+change checkout build up a before/after pair from interleaved runs; it
+refuses a file recorded at another revision or on another machine. The
+file's ``summary`` holds, per workload and end-to-end metric, the first
+quartile, median and third quartile over every untraced run. ``--smoke``
+passes ``--smoke`` on to every run, for tests. The exit code is 0 when
+every run completed and the file was written.
 """
 
 from __future__ import annotations
@@ -20,17 +26,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import scipy
+
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("augment", "align", "cli")
-# bench/run.py pins these to one thread in itself and in its children
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def parse_args(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--label", required=True, help="names the file BENCH_<label>.json")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--seconds", type=float, default=25.0)
     p.add_argument("--out-dir", type=Path, default=ROOT)
     p.add_argument("--smoke", action="store_true", help="two operations per run, for tests")
     args = p.parse_args(argv)
@@ -46,37 +51,46 @@ def _git(*args: str) -> str:
 
 def machine_record() -> dict:
     """The machine, interpreter and libraries the runs used."""
-    probe = (
-        "import json, numpy, scipy;"
-        "blas = numpy.show_config(mode='dicts')['Build Dependencies']['blas'];"
-        "print(json.dumps({'numpy': numpy.__version__, 'scipy': scipy.__version__,"
-        " 'blas': f\"{blas.get('name')} {blas.get('version')}\"}))"
-    )
-    probed = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
-    libs = json.loads(probed.stdout)
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "nproc": os.cpu_count(),
         "machine": platform.machine(),
         "python": platform.python_version(),
-        **libs,
-        "blas_threads": 1,
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        # bench/run.py sets every BLAS thread variable to 1 for itself and its children
+        "blas_threads_set_by_bench_run": 1,
     }
 
 
-def run_bench(workload: str, trace: int, args) -> dict:
-    cmd = [
-        sys.executable, "bench/run.py", "--workload", workload, "--seed", str(args.seed),
-        "--seconds", str(args.seconds), "--trace", str(trace),
-    ]
-    if args.smoke:
+def run_bench(workload: str, trace: int, smoke: bool) -> dict:
+    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--trace", str(trace)]
+    if smoke:
         cmd.append("--smoke")
-    env = dict(os.environ, **{var: "1" for var in BLAS_THREAD_VARS})
-    proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
         tail = proc.stderr.strip()[-500:]
         raise RuntimeError(f"{' '.join(cmd)} exited {proc.returncode}: {tail}")
     return {"run": json.loads(lines[-2]), "result": json.loads(lines[-1])}
+
+
+def summarize(runs: list) -> dict:
+    """Quartiles (q1, median, q3) of every end-to-end metric per workload."""
+    values: dict = {}
+    for r in runs:
+        if r["run"]["trace"] == 0:
+            metrics = values.setdefault(r["run"]["workload"], {})
+            for name, m in r["result"]["metrics"].items():
+                metrics.setdefault(name, []).append(m["value"])
+    return {
+        workload: {
+            name: {"n": len(v), "q1_median_q3": np.percentile(v, [25, 50, 75]).tolist()}
+            for name, v in sorted(metrics.items())
+        }
+        for workload, metrics in values.items()
+    }
 
 
 def main(argv=None) -> int:
@@ -92,19 +106,28 @@ def main(argv=None) -> int:
         "git_head": head,
         "git_modified": modified,
         "machine": machine_record(),
-        "command": {"seed": args.seed, "seconds": args.seconds, "smoke": args.smoke},
+        "smoke": args.smoke,
         "runs": [],
     }
+    path = args.out_dir / f"BENCH_{args.label}.json"
+    if path.exists():
+        old = json.loads(path.read_text())
+        for key in ("git_head", "git_modified", "machine", "smoke"):
+            if old.get(key) != record[key]:
+                print(f"error: {path} differs in {key}; remove it or choose another label",
+                      file=sys.stderr)
+                return 1
+        record["runs"] = old["runs"]
     for workload in WORKLOADS:
         for trace in (0, 1):
             print(f"bench_record: {workload} --trace {trace}", file=sys.stderr, flush=True)
             try:
-                record["runs"].append(run_bench(workload, trace, args))
+                record["runs"].append(run_bench(workload, trace, args.smoke))
             except RuntimeError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 1
+    record["summary"] = summarize(record["runs"])
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    path = args.out_dir / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(path)
     return 0

@@ -9,9 +9,7 @@ shake of the input clouds.
 import numpy as np
 
 from toothalign.augment import (
-    AugmentConfig,
     adjacent_gaps,
-    check_constraints,
     constrained_augment_case_report,
     detect_collisions,
     ordinary_augment,
@@ -28,7 +26,7 @@ def main():
     out, report = constrained_augment_case_report(case, seed=2)
     print(f"\nconstrained augment: satisfied={report['satisfied']}, "
           f"repair iterations {report['collision_iterations']}")
-    for side, stats in check_constraints(out, AugmentConfig())["jaws"].items():
+    for side, stats in report["jaws"].items():
         print(f"  {side}: collisions={stats['collisions']}, "
               f"max gap {stats['max_gap_mm']:.2f} mm, "
               f"max arch dist {stats['max_arch_dist_mm']:.2f} mm, "

@@ -267,6 +267,54 @@ def _gt_jaw(jaw: Jaw) -> Jaw:
     return out
 
 
+def _measure(jaw: Jaw, arch: ArchLine | None, config: AugmentConfig) -> tuple[float, float, str]:
+    """Widest adjacent gap, largest centroid arch distance (0.0 without
+    an arch), and what breaks: empty when every gap and arch distance
+    holds; otherwise the widest breaking gap and the arch distance
+    farthest outside its range."""
+    broken = []
+    a, b, gap = max(adjacent_gaps(jaw), key=lambda g: g[2], default=(0, 0, 0.0))
+    if gap > config.gap_threshold + 1e-9:
+        broken.append(f"gap {a}-{b} is {gap:.6g} mm > {config.gap_threshold} mm")
+    lo, hi = config.arch_dist_range
+    dists = [(_arch_distance(arch, t), t.id) for t in jaw.present_teeth()] if arch else []
+    outside = [
+        (max(lo - d, d - hi), tid, d) for d, tid in dists if not lo - 1e-9 <= d <= hi + 1e-9
+    ]
+    if outside:
+        _, tid, d = max(outside)
+        broken.append(f"tooth {tid} is {d:.6g} mm from the arch, outside [{lo}, {hi}] mm")
+    return gap, max((d for d, _ in dists), default=0.0), "; ".join(broken)
+
+
+def _jaw_entry(
+    jaw: Jaw, max_gap: float, max_dist: float, broken: str, collisions: int, config: AugmentConfig
+) -> dict:
+    """Report entry of one jaw from its _measure result: satisfied when
+    nothing broke, no pair collides and no recovered rotation exceeds
+    rot_range."""
+    teeth = jaw.present_teeth()
+    angles = [
+        np.rad2deg(kabsch_recover(t.gt_points, t.points).angle())
+        for t in teeth
+        if t.gt_points is not None
+    ]
+    max_angle = max(angles, default=0.0)
+    return {
+        "teeth": len(teeth),
+        "collisions": collisions,
+        "max_gap_mm": max_gap,
+        "max_arch_dist_mm": max_dist,
+        "max_angle_deg": max_angle,
+        "satisfied": bool(not broken and collisions == 0 and max_angle <= config.rot_range + 1e-9),
+    }
+
+
+def _report(case_id: str, jaws: dict[str, dict]) -> dict:
+    satisfied = all(entry["satisfied"] for entry in jaws.values())
+    return {"case_id": case_id, "jaws": jaws, "satisfied": satisfied}
+
+
 def check_constraints(case: Case, config: AugmentConfig) -> dict:
     """Constraint-satisfaction report for a case's current geometry.
 
@@ -274,8 +322,7 @@ def check_constraints(case: Case, config: AugmentConfig) -> dict:
     same arch augmentation uses), collisions, and, where targets exist,
     the recovered per-tooth rotation angle.
     """
-    report: dict = {"case_id": case.id, "jaws": {}}
-    ok = True
+    jaws = {}
     for side in ("upper", "lower"):
         jaw = case.jaw(side)
         teeth = jaw.present_teeth()
@@ -283,53 +330,9 @@ def check_constraints(case: Case, config: AugmentConfig) -> dict:
         if len(teeth) >= 2:
             has_gt = all(t.gt_points is not None for t in teeth)
             arch = fit_arch_line(_gt_jaw(jaw)) if has_gt else fit_arch_line(jaw)
-        gaps = [g for _, _, g in adjacent_gaps(jaw)]
-        dists = (
-            [_arch_distance(arch, t) for t in teeth] if arch else []
-        )
-        angles = [
-            np.rad2deg(kabsch_recover(t.gt_points, t.points).angle())
-            for t in teeth
-            if t.gt_points is not None
-        ]
-        collisions = len(detect_collisions(jaw))
-        entry = {
-            "teeth": len(teeth),
-            "collisions": collisions,
-            "max_gap_mm": max(gaps) if gaps else 0.0,
-            "max_arch_dist_mm": max(dists) if dists else 0.0,
-            "max_angle_deg": max(angles) if angles else 0.0,
-        }
-        lo, hi = config.arch_dist_range
-        entry["satisfied"] = bool(
-            collisions == 0
-            and entry["max_gap_mm"] <= config.gap_threshold + 1e-9
-            and entry["max_arch_dist_mm"] <= hi + 1e-9
-            and entry["max_angle_deg"] <= config.rot_range + 1e-9
-        )
-        ok = ok and entry["satisfied"]
-        report["jaws"][side] = entry
-    report["satisfied"] = ok
-    return report
-
-
-def _joint_violations(jaw: Jaw, arch: ArchLine, config: AugmentConfig) -> str:
-    """Empty when every adjacent gap and arch distance holds; otherwise
-    names the widest breaking gap and the arch distance farthest
-    outside its range."""
-    out = []
-    a, b, gap = max(adjacent_gaps(jaw), key=lambda g: g[2], default=(0, 0, 0.0))
-    if gap > config.gap_threshold + 1e-9:
-        out.append(f"gap {a}-{b} is {gap:.6g} mm > {config.gap_threshold} mm")
-    lo, hi = config.arch_dist_range
-    dists = [(_arch_distance(arch, t), t.id) for t in jaw.present_teeth()]
-    broken = [
-        (max(lo - d, d - hi), tid, d) for d, tid in dists if not lo - 1e-9 <= d <= hi + 1e-9
-    ]
-    if broken:
-        _, tid, d = max(broken)
-        out.append(f"tooth {tid} is {d:.6g} mm from the arch, outside [{lo}, {hi}] mm")
-    return "; ".join(out)
+        gap, dist, broken = _measure(jaw, arch, config)
+        jaws[side] = _jaw_entry(jaw, gap, dist, broken, len(detect_collisions(jaw)), config)
+    return _report(case.id, jaws)
 
 
 def constrained_augment_case_report(
@@ -341,11 +344,14 @@ def constrained_augment_case_report(
     Per jaw: fit the arch to target centers, displace each tooth
     (center-out order, per-tooth derived seeds), then alternate
     regularization and collision resolution until both families of
-    constraints hold. Targets pass through bit-identical.
+    constraints hold. Targets pass through bit-identical. The report is
+    the last joint round's measurement, which check_constraints would
+    repeat on the same arch and geometry.
     """
     config = config or AugmentConfig()
     config.validate()
     out = gt_case.copy()
+    jaws: dict[str, dict] = {}
     iterations: dict[str, int] = {}
     for side in ("upper", "lower"):
         working = _gt_jaw(out.jaw(side))
@@ -358,20 +364,20 @@ def constrained_augment_case_report(
             working = jaw_regularize(working, arch, config)
             working, iters = resolve_collisions_verbose(working, arch, config)
             total_iters += iters
-            violations = _joint_violations(working, arch, config)
-            if not violations:
+            gap, dist, broken = _measure(working, arch, config)
+            if not broken:
                 break
         else:
-            raise ConstraintViolation(
-                f"jaw {side}: after {_JOINT_ROUNDS} joint rounds, {violations}"
-            )
+            raise ConstraintViolation(f"jaw {side}: after {_JOINT_ROUNDS} joint rounds, {broken}")
+        # resolve_collisions_verbose returns only a collision-free jaw
+        jaws[side] = _jaw_entry(working, gap, dist, broken, 0, config)
         iterations[side] = total_iters
         target = out.jaw(side)
         for tooth in working.present_teeth():
             dst = target.get(tooth.id)
             dst.points = tooth.points
             dst.moved = not np.array_equal(tooth.points, dst.gt_points)
-    report = check_constraints(out, config)
+    report = _report(out.id, jaws)
     report["collision_iterations"] = iterations
     return out, report
 

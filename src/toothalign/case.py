@@ -109,9 +109,6 @@ class Case:
     upper: Jaw
     lower: Jaw
 
-    def jaws(self) -> tuple[Jaw, Jaw]:
-        return (self.upper, self.lower)
-
     def jaw(self, side: str) -> Jaw:
         if side == "upper":
             return self.upper

@@ -183,17 +183,14 @@ def recon_loss(pred_case: Case, gt_case: Case) -> tuple[float, dict[int, np.ndar
 # ------------------------------------------------------- transform losses
 
 def enhancement_weights(
-    gt_transforms: dict[int, RigidTransform] | None,
+    gt_transforms: dict[int, RigidTransform],
     weights: LossWeights | None = None,
 ) -> dict[int, tuple[float, float]]:
     """Per-tooth (zeta_rotate, zeta_trans) in [0, 1].
 
     Larger ground-truth corrections get weights closer to 1 so severe
-    misalignments dominate. Pass ``None`` (test mode) to make the caller
-    fall back to 1.0 for every tooth.
+    misalignments dominate.
     """
-    if gt_transforms is None:
-        return {}
     w = weights or LossWeights()
     out = {}
     for tid, t in gt_transforms.items():

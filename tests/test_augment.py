@@ -347,6 +347,21 @@ def test_constrained_augment_report(corpus):
     assert any(t.moved for t in out.upper.teeth)
 
 
+@pytest.mark.parametrize(
+    "config", [AugmentConfig(), AugmentConfig(arch_dist_range=(1.0, 2.2))], ids=["default", "lo"]
+)
+def test_constrained_report_is_check_constraints(config):
+    """The report is the last joint round's measurement; an independent
+    check_constraints of the returned case must read the same, bit for bit."""
+    for k in range(6):
+        params = SynthParams(teeth_per_jaw=8 + k % 3)
+        case = generate_synthetic_case(params, seed=1000 + k, case_id=f"c{k:03d}")
+        out, report = constrained_augment_case_report(case, 40 + k, config)
+        expected = check_constraints(out, config)
+        expected["collision_iterations"] = report["collision_iterations"]
+        assert report == expected
+
+
 def test_ordinary_augment_trigger_rate(corpus):
     case = corpus[0]
     config = AugmentConfig()
@@ -382,3 +397,14 @@ def test_check_constraints_at_targets(corpus):
         assert entry["teeth"] == 12
         assert entry["collisions"] == 0
         assert entry["max_angle_deg"] < 1e-6
+
+
+def test_check_constraints_enforces_the_lower_arch_bound(corpus):
+    # at the target pose every centroid lies on the arch fitted through them
+    report = check_constraints(gt_view(corpus[0]), AugmentConfig(arch_dist_range=(1.0, 2.2)))
+    assert report["satisfied"] is False
+    for side in ("upper", "lower"):
+        entry = report["jaws"][side]
+        assert entry["max_arch_dist_mm"] < 1.0
+        assert entry["collisions"] == 0
+        assert entry["satisfied"] is False

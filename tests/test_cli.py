@@ -12,7 +12,7 @@ import jsonschema
 import pytest
 
 import toothalign
-from toothalign.case import dumps_json, load_case
+from toothalign.case import dumps_json, load_case, save_case
 from toothalign.cli import main
 
 SCHEMA_DIR = Path(toothalign.__file__).parent / "schemas"
@@ -194,6 +194,22 @@ def test_augment_ordinary(capsys, case_file, tmp_path):
     )
     assert payload["mode"] == "ordinary"
     assert out.exists()
+
+
+def test_augment_ordinary_reports_the_lower_arch_bound(capsys, case_file, tmp_path):
+    target = load_case(case_file)
+    for tooth in target.present_teeth():
+        tooth.points = tooth.gt_points.copy()
+    save_case(target, tmp_path / "target.case.json")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(dumps_json({"augment": {"arch_dist_range": [1.0, 2.2], "ordinary_prob": 0.0}}))
+    argv = ["augment", "--in", str(tmp_path / "target.case.json"), "--mode", "ordinary",
+            "--config", str(cfg), "-o", str(tmp_path / "ord.case.json")]
+    code, out = _run(capsys, argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["satisfied"] is False
+    assert all(jaw["max_arch_dist_mm"] < 1.0 for jaw in payload["jaws"].values())
 
 
 def test_augment_bad_config_exits_1(capsys, case_file, tmp_path):

@@ -159,7 +159,6 @@ def test_enhancement_weights_saturate():
     assert z[1][0] == pytest.approx(0.2 / (np.pi / 2.0), abs=1e-12)
     assert z[1][1] == pytest.approx(0.9 / 4.5, abs=1e-12)
     assert z[2] == (1.0, 1.0)
-    assert enhancement_weights(None) == {}
 
 
 def test_val_gradient_matches_fd(rng):

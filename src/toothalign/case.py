@@ -254,11 +254,6 @@ def case_to_dict(case: Case) -> dict:
     return out
 
 
-def validate_case(case: Case, expected_points: int | None = POINT_COUNT) -> None:
-    """Re-run the schema checks on an in-memory case."""
-    case_from_dict(case_to_dict(case), expected_points)
-
-
 def dumps_json(doc) -> str:
     """Deterministic JSON encoding used for every file this package writes."""
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
@@ -277,8 +272,11 @@ def load_case(path, expected_points: int | None = POINT_COUNT) -> Case:
 
 
 def save_case(case: Case, path, expected_points: int | None = POINT_COUNT) -> None:
-    validate_case(case, expected_points)
-    Path(path).write_text(dumps_json(case_to_dict(case)))
+    """Writes the case after the schema checks a load would run; an
+    invalid case raises and writes nothing."""
+    doc = case_to_dict(case)
+    case_from_dict(doc, expected_points)
+    Path(path).write_text(dumps_json(doc))
 
 
 # -------------------------------------------------------- point orderings

@@ -24,7 +24,8 @@ from .bvh import AabbTree, interlock_masks, nearest_distances
 from .case import ANTERIOR_IDS, Case, Jaw, Tooth, jaw_of_id
 from .config import LossWeights
 from .errors import CorrespondenceMismatch, DegenerateAxis
-from .geometry import RigidTransform, kabsch_recover
+from .geometry import RigidTransform
+from .metrics import residual_transforms
 
 
 @dataclass
@@ -351,15 +352,6 @@ def anterior_uniformity_parts(
 
 # ------------------------------------------------------------- total loss
 
-def recovered_transforms(pred_case: Case, gt_case: Case) -> dict[int, RigidTransform]:
-    """Per-tooth rigid transform carrying each predicted cloud onto its
-    target, recovered by least squares; the residual correction."""
-    out = {}
-    for a, b in _paired_moved(pred_case, gt_case):
-        out[a.id] = kabsch_recover(a.points, b.points)
-    return out
-
-
 def total_loss(
     pred_case: Case,
     gt_case: Case,
@@ -376,7 +368,7 @@ def total_loss(
     w = weights or LossWeights()
     w.validate()
     l_recon, g_recon = recon_loss(pred_case, gt_case)
-    gt_t = recovered_transforms(pred_case, gt_case)
+    gt_t = residual_transforms(pred_case, gt_case)
     pred_t = {
         tid: RigidTransform.identity(pred_case.tooth(tid).centroid()) for tid in gt_t
     }

@@ -60,8 +60,8 @@ def auc(distances, k: float = 5.0) -> float:
     the integral of the step CDF. 1.0 when all distances are 0, 0.0
     when none is below k.
     """
-    if not k > 0:
-        raise InvalidArgument(f"k must be positive, got {k}")
+    if not (k > 0 and np.isfinite(k)):
+        raise InvalidArgument(f"k must be positive and finite, got {k}")
     d = np.asarray(distances, dtype=float)
     if d.size == 0:
         raise ValueError("auc needs at least one distance")

@@ -8,23 +8,27 @@ untrained: this module validates shapes, window mechanics, weight
 sharing, and masking behavior, not clinical accuracy.
 
 Grid conventions: a 2D feature grid is (rows, cols, C) with rows fixed
-at 32 (one per tooth slot) — attention windows tile rows x cols but
-merging only ever halves cols. A 1D token sequence is (n, C). Absent
-teeth are handled by masking: their cells are blocked as attention
-keys, and a block neither normalizes them nor runs attention or MLP on
-them, so an invalid cell leaves every block unchanged. With zero
-biases an all-zero row therefore stays exactly zero through the whole
-network.
+at 32 (one per tooth slot); a 1D token sequence is (n, C). Every
+feature has CHANNELS channels split over HEADS attention heads.
+Attention windows are WINDOW x WINDOW tiles of the grid (WINDOW tokens
+of a sequence), and a shifted block rolls its input by SHIFT along
+every windowed axis first (Swin, Liu et al. 2021). Merging only ever
+halves cols.
+
+There is one path through the network, and it is masked. Every block
+takes the validity of its cells: an absent tooth's cells are blocked
+as attention keys, and a block neither normalizes them nor runs
+attention or MLP on them, so an invalid cell leaves every block
+unchanged. With zero biases an all-zero row therefore stays exactly
+zero through the whole network.
 
 Skipping work never moves a bit. Attention computes only live query
 rows, gathered in whole 8-row GEMM blocks, against keys and values of
-the full window; window_attention says why the blocks are 8 rows. The tests hold every shortcut to a plain full-grid
-oracle, bit for bit.
+the full window; window_attention says why the blocks are 8 rows. The
+tests hold every shortcut to a plain full-grid oracle, bit for bit.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf
@@ -42,24 +46,11 @@ from .geometry import RigidTransform, quat_normalize
 
 CHANNELS = 32
 HEADS = 4
+WINDOW = 8
+SHIFT = 4
 SWTP_STAGES = 4
 # query rows per attention batch; see window_attention
 _ROW_BLOCK = 8
-
-
-@dataclass(frozen=True)
-class WindowSpec:
-    size: int = 8
-    shift: int = 4
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise ValueError("window size must be positive")
-        if not (0 <= self.shift < self.size):
-            raise ValueError("shift must lie in [0, size)")
-
-
-DEFAULT_SPEC = WindowSpec()
 
 
 # ------------------------------------------------------------- primitives
@@ -79,12 +70,13 @@ def layer_norm(x: np.ndarray, params: dict, eps: float = 1e-5) -> np.ndarray:
     return y
 
 
-def window_partition(grid: np.ndarray, spec: WindowSpec = DEFAULT_SPEC) -> np.ndarray:
+def window_partition(grid: np.ndarray) -> np.ndarray:
     """Non-overlapping tiles in row-major order.
 
-    (H, W, C) -> (H/s * W/s, s, s, C); a 1D sequence (n, C) -> (n/s, s, C).
+    (H, W, C) -> (H/s * W/s, s, s, C); a 1D sequence (n, C) -> (n/s, s, C),
+    with s = WINDOW.
     """
-    s = spec.size
+    s = WINDOW
     if grid.ndim == 2:
         n, c = grid.shape
         if n % s:
@@ -97,9 +89,9 @@ def window_partition(grid: np.ndarray, spec: WindowSpec = DEFAULT_SPEC) -> np.nd
     return tiles.transpose(0, 2, 1, 3, 4).reshape(-1, s, s, c)
 
 
-def window_reverse(windows: np.ndarray, grid_shape: tuple, spec: WindowSpec = DEFAULT_SPEC) -> np.ndarray:
+def window_reverse(windows: np.ndarray, grid_shape: tuple) -> np.ndarray:
     """Exact inverse of window_partition for the given grid shape."""
-    s = spec.size
+    s = WINDOW
     if len(grid_shape) == 2:
         n, c = grid_shape
         return windows.reshape(n, c)
@@ -115,61 +107,48 @@ def cyclic_shift(grid: np.ndarray, shift: int) -> np.ndarray:
     return np.roll(grid, (-shift, -shift), axis=(0, 1))
 
 
-def _region_ids_1d(n: int, spec: WindowSpec) -> np.ndarray:
+def _region_ids_1d(n: int) -> np.ndarray:
+    """Along one axis rolled by SHIFT: 0 for cells still beside their
+    old neighbors, 1 and 2 for the two parts that share the last window
+    but were not neighbors before the roll."""
     ids = np.zeros(n, dtype=int)
-    if spec.shift:
-        ids[n - spec.size : n - spec.shift] = 1
-        ids[n - spec.shift :] = 2
+    ids[n - WINDOW : n - SHIFT] = 1
+    ids[n - SHIFT :] = 2
     return ids
 
 
-def window_allow_masks(
-    grid_shape: tuple, spec: WindowSpec, shifted: bool, valid: np.ndarray | None = None
-) -> np.ndarray:
+def window_allow_masks(grid_shape: tuple, shifted: bool, valid: np.ndarray) -> np.ndarray:
     """(nwin, L, L) flags of permitted attention pairs per window.
 
     Combines the wrapped-region separation of a shifted layout (regions
     that were not neighbors before the roll must not attend to each
-    other) with key validity: invalid (absent-tooth) cells never serve
-    as keys. Without shifting and with everything valid this is all
-    True.
+    other) with key validity: invalid (absent-tooth) cells, marked
+    False in ``valid`` (one flag per token or grid cell), never serve
+    as keys.
     """
-    if len(grid_shape) == 2:
-        n = grid_shape[0]
-        rid = _region_ids_1d(n, spec) if shifted else np.zeros(n, dtype=int)
-        rid_w = window_partition(rid[:, None].astype(float), spec)[..., 0].astype(int)
-        if valid is None:
-            valid_w = np.ones_like(rid_w, dtype=bool)
-        else:
-            v = valid if not shifted else np.roll(valid, -spec.shift)
-            valid_w = window_partition(v[:, None].astype(float), spec)[..., 0] > 0.5
+    valid = np.asarray(valid, dtype=bool)[..., None]
+    if shifted:
+        valid = cyclic_shift(valid, SHIFT)
+        rid = _region_ids_1d(grid_shape[0])
+        if len(grid_shape) == 3:
+            rid = rid[:, None] * 3 + _region_ids_1d(grid_shape[1])[None, :]
     else:
-        h, w = grid_shape[0], grid_shape[1]
-        if shifted:
-            rid = _region_ids_1d(h, spec)[:, None] * 3 + _region_ids_1d(w, spec)[None, :]
-        else:
-            rid = np.zeros((h, w), dtype=int)
-        rid_w = window_partition(rid[..., None].astype(float), spec)[..., 0]
-        rid_w = rid_w.reshape(rid_w.shape[0], -1).astype(int)
-        if valid is None:
-            valid_w = np.ones_like(rid_w, dtype=bool)
-        else:
-            v = valid if not shifted else np.roll(valid, (-spec.shift, -spec.shift), (0, 1))
-            valid_w = window_partition(v[..., None].astype(float), spec)[..., 0] > 0.5
-            valid_w = valid_w.reshape(valid_w.shape[0], -1)
+        rid = np.zeros(valid.shape[:-1], dtype=int)
+    valid_w = window_partition(valid)
+    valid_w = valid_w.reshape(valid_w.shape[0], -1)
+    rid_w = window_partition(rid[..., None]).reshape(valid_w.shape)
     allow = rid_w[:, :, None] == rid_w[:, None, :]
     return allow & valid_w[:, None, :]
 
 
-def window_attention(
-    windows: np.ndarray, weights: dict, heads: int = HEADS, allow: np.ndarray | None = None
-) -> np.ndarray:
+def window_attention(windows: np.ndarray, weights: dict, allow: np.ndarray) -> np.ndarray:
     """Multi-head scaled dot-product attention within each window.
 
-    ``windows`` is (nwin, L, C) (flatten tile dims first). Disallowed
-    keys get zero attention weight; a query with no allowed key yields
-    a zero row before the output projection, so its output is
-    ``0 @ wo + bo``. Softmax rows over allowed keys sum to 1.
+    ``windows`` is (nwin, L, C) (flatten tile dims first) and ``allow``
+    (nwin, L, L). Disallowed keys get zero attention weight; a query
+    with no allowed key yields a zero row before the output projection,
+    so its output is ``0 @ wo + bo``. Softmax rows over allowed keys
+    sum to 1.
 
     Only live query rows (with at least one allowed key) are computed.
     Windows that compute the same rows are gathered into one batch; on
@@ -188,20 +167,19 @@ def window_attention(
     already 0, so no second masking pass is needed.
     """
     c = windows.shape[-1]
-    if c % heads:
-        raise BadHeadCount(f"{c} channels not divisible by {heads} heads")
-    dh = c // heads
+    if c % HEADS:
+        raise BadHeadCount(f"{c} channels not divisible by {HEADS} heads")
+    dh = c // HEADS
 
     def heads_first(x):
         # (windows, heads, rows, dh) views make both contractions batched BLAS matmuls.
-        return x.reshape(x.shape[0], x.shape[1], heads, dh).transpose(0, 2, 1, 3)
+        return x.reshape(x.shape[0], x.shape[1], HEADS, dh).transpose(0, 2, 1, 3)
 
     def attend(x, k, v, allow):
         q = heads_first(x @ weights["wq"] + weights["bq"])
         scores = q @ k.transpose(0, 1, 3, 2)
         scores /= np.sqrt(dh)
-        if allow is not None:
-            scores += np.where(allow, 0.0, -np.inf)[:, None, :, :]
+        scores += np.where(allow, 0.0, -np.inf)[:, None, :, :]
         top = scores.max(axis=-1, keepdims=True)
         # a query with no allowed key has top -inf; 0 keeps its exps 0, not NaN
         top[~np.isfinite(top)] = 0.0
@@ -218,8 +196,6 @@ def window_attention(
     # some widths.
     k = heads_first(windows @ weights["wk"] + weights["bk"])
     v = heads_first(windows @ weights["wv"] + weights["bv"])
-    if allow is None:
-        return attend(windows, k, v, None)
     # each window computes its live rows, topped up with its first dead
     # rows to a multiple of _ROW_BLOCK (at most the window length)
     live = allow.any(axis=-1)
@@ -240,21 +216,7 @@ def window_attention(
     return out
 
 
-def _norm_mlp_residual(x: np.ndarray, weights: dict) -> np.ndarray:
-    """x + MLP(norm(x)) over (..., C) rows."""
-    mlp = weights["mlp"]
-    h = _gelu(layer_norm(x, weights["ln2"]) @ mlp["w1"] + mlp["b1"])
-    return x + (h @ mlp["w2"] + mlp["b2"])
-
-
-def swin_block(
-    grid: np.ndarray,
-    spec: WindowSpec,
-    weights: dict,
-    shifted: bool,
-    valid: np.ndarray | None = None,
-    heads: int = HEADS,
-) -> np.ndarray:
+def swin_block(grid: np.ndarray, weights: dict, shifted: bool, valid: np.ndarray) -> np.ndarray:
     """Pre-norm transformer block with (shifted-)window attention.
 
     norm -> windowed attention -> residual, then norm -> MLP ->
@@ -263,31 +225,27 @@ def swin_block(
     attention output and the MLP: it leaves the block exactly as it
     entered. The caller's ``grid`` is never written.
     """
-    shift = spec.shift if shifted else 0
-    if valid is None:
-        h = layer_norm(grid, weights["ln1"])
-    else:
-        valid = np.asarray(valid, dtype=bool)
-        h = np.zeros_like(grid)
-        h[valid] = layer_norm(grid[valid], weights["ln1"])
-    if shift:
-        h = cyclic_shift(h, shift)
-    allow = window_allow_masks(grid.shape, spec, shift > 0, valid)
-    if valid is not None:
-        # a valid cell is its own allowed key and an invalid cell is
-        # nobody's, so the diagonal is query validity: an invalid query
-        # gets no key, and window_attention skips its row
-        allow &= np.diagonal(allow, axis1=1, axis2=2)[:, :, None]
-    win = window_partition(h, spec)
+    valid = np.asarray(valid, dtype=bool)
+    h = np.zeros_like(grid)
+    h[valid] = layer_norm(grid[valid], weights["ln1"])
+    if shifted:
+        h = cyclic_shift(h, SHIFT)
+    allow = window_allow_masks(grid.shape, shifted, valid)
+    # a valid cell is its own allowed key and an invalid cell is
+    # nobody's, so the diagonal is query validity: an invalid query
+    # gets no key, and window_attention skips its row
+    allow &= np.diagonal(allow, axis1=1, axis2=2)[:, :, None]
+    win = window_partition(h)
     flat = win.reshape(win.shape[0], -1, win.shape[-1])
-    att = window_attention(flat, weights["attn"], heads=heads, allow=allow)
-    att = window_reverse(att.reshape(win.shape), grid.shape, spec)
-    if shift:
-        att = cyclic_shift(att, -shift)
-    if valid is None:
-        return _norm_mlp_residual(grid + att, weights)
+    att = window_attention(flat, weights["attn"], allow)
+    att = window_reverse(att.reshape(win.shape), grid.shape)
+    if shifted:
+        att = cyclic_shift(att, -SHIFT)
+    x = grid[valid] + att[valid]
+    mlp = weights["mlp"]
+    hidden = _gelu(layer_norm(x, weights["ln2"]) @ mlp["w1"] + mlp["b1"])
     out = grid.copy()
-    out[valid] = _norm_mlp_residual(grid[valid] + att[valid], weights)
+    out[valid] = x + (hidden @ mlp["w2"] + mlp["b2"])
     return out
 
 
@@ -303,53 +261,36 @@ def column_merge(grid: np.ndarray, weights: dict) -> np.ndarray:
 
 # ------------------------------------------------------------- the branches
 
-def swtbs_forward(
-    features: np.ndarray,
-    block_weights: dict,
-    spec: WindowSpec = DEFAULT_SPEC,
-    presence: np.ndarray | None = None,
-    heads: int = HEADS,
-) -> np.ndarray:
+def swtbs_forward(features: np.ndarray, block_weights: dict, presence: np.ndarray) -> np.ndarray:
     """Four applications of ONE shared block (alternating regular and
     shifted windows) over a (32, C) token sequence; every application's
-    residual is accumulated and added to the final output."""
+    residual is accumulated and added to the final output. ``presence``
+    marks the live tokens."""
     x = features
     acc = np.zeros_like(features)
     for shifted in (False, True, False, True):
-        nxt = swin_block(x, spec, block_weights, shifted, valid=presence, heads=heads)
+        nxt = swin_block(x, block_weights, shifted, presence)
         acc = acc + (nxt - x)
         x = nxt
     return x + acc
 
 
-def swtp_forward(
-    grid: np.ndarray,
-    weights: dict,
-    presence: np.ndarray | None = None,
-    spec: WindowSpec = DEFAULT_SPEC,
-    heads: int = HEADS,
-    return_trace: bool = False,
-):
+def swtp_forward(grid: np.ndarray, weights: dict, presence: np.ndarray, return_trace: bool = False):
     """Point-branch tower: four stages of [regular block, shifted
     block, column merge] take (32, 512, C) down to (32, 32, C) at
     constant channels, then average-pool the columns to (32, C).
 
-    ``presence`` masks absent tooth rows; pass return_trace=True to get
-    the column count after entry and each stage.
+    ``presence`` marks the live tooth rows; pass return_trace=True to
+    get the column count after entry and each stage.
     """
     x = grid
-    valid = None
-    if presence is not None:
-        valid = np.broadcast_to(
-            np.asarray(presence, dtype=bool)[:, None], x.shape[:2]
-        ).copy()
+    valid = np.broadcast_to(np.asarray(presence, dtype=bool)[:, None], x.shape[:2]).copy()
     trace = [x.shape[1]]
     for stage in weights["swtp"]:
-        x = swin_block(x, spec, stage["blk_a"], False, valid=valid, heads=heads)
-        x = swin_block(x, spec, stage["blk_b"], True, valid=valid, heads=heads)
+        x = swin_block(x, stage["blk_a"], False, valid)
+        x = swin_block(x, stage["blk_b"], True, valid)
         x = column_merge(x, stage["merge"])
-        if valid is not None:
-            valid = valid[:, : x.shape[1]]
+        valid = valid[:, : x.shape[1]]
         trace.append(x.shape[1])
     pooled = x.mean(axis=1)
     if return_trace:
@@ -407,33 +348,30 @@ def _block(rng, c: int) -> dict:
     }
 
 
-def init_weights(seed: int, channels: int = CHANNELS, heads: int = HEADS) -> dict:
+def init_weights(seed: int) -> dict:
     """Full seeded parameter set. One shared block per SWTBS branch;
     distinct blocks per SWTP stage. Biases start at zero."""
-    if channels % heads:
-        raise BadHeadCount(f"{channels} channels not divisible by {heads} heads")
     rng = np.random.default_rng(seed)
-    mlp1 = _linear(rng, 3, channels)
-    mlp2 = _linear(rng, channels, channels)
+    mlp1 = _linear(rng, 3, CHANNELS)
+    mlp2 = _linear(rng, CHANNELS, CHANNELS)
     weights = {
-        "meta": {"channels": channels, "heads": heads},
-        "patch_embed": _linear(rng, 3, channels),
+        "patch_embed": _linear(rng, 3, CHANNELS),
         "center_mlp": {"w1": mlp1["w"], "b1": mlp1["b"], "w2": mlp2["w"], "b2": mlp2["b"]},
-        "center_block": _block(rng, channels),
+        "center_block": _block(rng, CHANNELS),
         "swtp": [
             {
-                "blk_a": _block(rng, channels),
-                "blk_b": _block(rng, channels),
-                "merge": _linear(rng, 2 * channels, channels),
+                "blk_a": _block(rng, CHANNELS),
+                "blk_b": _block(rng, CHANNELS),
+                "merge": _linear(rng, 2 * CHANNELS, CHANNELS),
             }
             for _ in range(SWTP_STAGES)
         ],
-        "fuse_proj": _linear(rng, 2 * channels, channels),
-        "fusion_block": _block(rng, channels),
+        "fuse_proj": _linear(rng, 2 * CHANNELS, CHANNELS),
+        "fusion_block": _block(rng, CHANNELS),
         "head": {
-            "w1": rng.normal(0.0, 0.02, size=(channels, channels)),
-            "b1": np.zeros(channels),
-            "w2": rng.normal(0.0, 0.02, size=(channels, 7)),
+            "w1": rng.normal(0.0, 0.02, size=(CHANNELS, CHANNELS)),
+            "b1": np.zeros(CHANNELS),
+            "w2": rng.normal(0.0, 0.02, size=(CHANNELS, 7)),
             "b2": np.zeros(7),
         },
     }
@@ -443,10 +381,7 @@ def init_weights(seed: int, channels: int = CHANNELS, heads: int = HEADS) -> dic
 # ------------------------------------------------------------- full model
 
 def predict_transforms(
-    tpi: ToothPointImage,
-    centers: np.ndarray,
-    weights: dict,
-    spec: WindowSpec = DEFAULT_SPEC,
+    tpi: ToothPointImage, centers: np.ndarray, weights: dict
 ) -> dict[int, RigidTransform]:
     """Per-tooth rigid corrections for the present teeth.
 
@@ -457,7 +392,6 @@ def predict_transforms(
     the tooth's center. Absent rows come out as identity internally and
     are omitted from the returned map.
     """
-    heads = weights["meta"]["heads"]
     presence = np.asarray(tpi.presence, dtype=bool)
     if not presence.any():
         return {}
@@ -469,16 +403,14 @@ def predict_transforms(
 
     grid = data @ weights["patch_embed"]["w"] + weights["patch_embed"]["b"]
     grid[~presence] = 0.0
-    f_t = swtp_forward(grid, weights, presence=presence, spec=spec, heads=heads)
-    f_c = swtbs_forward(
-        center_encoder(centers_n, weights), weights["center_block"], spec, presence, heads
-    )
+    f_t = swtp_forward(grid, weights, presence)
+    f_c = swtbs_forward(center_encoder(centers_n, weights), weights["center_block"], presence)
     fused = (
         np.concatenate([f_c, f_t], axis=1) @ weights["fuse_proj"]["w"]
         + weights["fuse_proj"]["b"]
     )
     fused[~presence] = 0.0
-    fused = swtbs_forward(fused, weights["fusion_block"], spec, presence, heads)
+    fused = swtbs_forward(fused, weights["fusion_block"], presence)
     h = _gelu(fused @ weights["head"]["w1"] + weights["head"]["b1"])
     raw = h @ weights["head"]["w2"] + weights["head"]["b2"]
 

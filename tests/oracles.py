@@ -15,6 +15,7 @@ from scipy.spatial import cKDTree
 
 from toothalign.swin import (
     HEADS,
+    SHIFT,
     _gelu,
     cyclic_shift,
     window_allow_masks,
@@ -147,52 +148,47 @@ def two_pass_layer_norm(x, params, eps=1e-5):
     return (x - mu) / np.sqrt(var + eps) * params["gamma"] + params["beta"]
 
 
-def masked_window_attention(windows, weights, heads=HEADS, allow=None):
+def masked_window_attention(windows, weights, allow):
     """Window attention with the mask applied twice by np.where: once
     to the scores (-inf) and once to their exponentials (0)."""
     nwin, length, c = windows.shape
-    dh = c // heads
+    dh = c // HEADS
 
     def heads_first(x):
-        return x.reshape(nwin, length, heads, dh).transpose(0, 2, 1, 3)
+        return x.reshape(nwin, length, HEADS, dh).transpose(0, 2, 1, 3)
 
     q = heads_first(windows @ weights["wq"] + weights["bq"])
     k = heads_first(windows @ weights["wk"] + weights["bk"])
     v = heads_first(windows @ weights["wv"] + weights["bv"])
     scores = (q @ k.transpose(0, 1, 3, 2)) / np.sqrt(dh)
-    if allow is not None:
-        scores = np.where(allow[:, None, :, :], scores, -np.inf)
+    scores = np.where(allow[:, None, :, :], scores, -np.inf)
     top = scores.max(axis=-1, keepdims=True)
     top = np.where(np.isfinite(top), top, 0.0)
     e = np.exp(scores - top)
-    if allow is not None:
-        e = np.where(allow[:, None, :, :], e, 0.0)
+    e = np.where(allow[:, None, :, :], e, 0.0)
     denom = e.sum(axis=-1, keepdims=True)
     probs = e / np.where(denom == 0.0, 1.0, denom)
     out = (probs @ v).transpose(0, 2, 1, 3).reshape(nwin, length, c)
     return out @ weights["wo"] + weights["bo"]
 
 
-def full_grid_swin_block(grid, spec, weights, shifted, valid=None, heads=HEADS):
+def full_grid_swin_block(grid, weights, shifted, valid):
     """Swin block that norms and runs the MLP on every cell, then
     multiplies the attention and MLP terms of invalid cells by zero."""
     x = grid
     h = two_pass_layer_norm(x, weights["ln1"])
-    if shifted and spec.shift:
-        h = cyclic_shift(h, spec.shift)
-    allow = window_allow_masks(grid.shape, spec, shifted and spec.shift > 0, valid)
-    win = window_partition(h, spec)
+    if shifted:
+        h = cyclic_shift(h, SHIFT)
+    allow = window_allow_masks(grid.shape, shifted, valid)
+    win = window_partition(h)
     flat = win.reshape(win.shape[0], -1, win.shape[-1])
-    att = masked_window_attention(flat, weights["attn"], heads=heads, allow=allow)
-    att = window_reverse(att.reshape(win.shape), grid.shape, spec)
-    if shifted and spec.shift:
-        att = cyclic_shift(att, -spec.shift)
-    if valid is not None:
-        att = att * np.asarray(valid, dtype=float)[..., None]
-    x = x + att
+    att = masked_window_attention(flat, weights["attn"], allow)
+    att = window_reverse(att.reshape(win.shape), grid.shape)
+    if shifted:
+        att = cyclic_shift(att, -SHIFT)
+    keep = np.asarray(valid, dtype=float)[..., None]
+    x = x + att * keep
     h2 = two_pass_layer_norm(x, weights["ln2"])
     mlp = _gelu(h2 @ weights["mlp"]["w1"] + weights["mlp"]["b1"])
     mlp = mlp @ weights["mlp"]["w2"] + weights["mlp"]["b2"]
-    if valid is not None:
-        mlp = mlp * np.asarray(valid, dtype=float)[..., None]
-    return x + mlp
+    return x + mlp * keep

@@ -41,7 +41,6 @@ from toothalign.losses import (
 from toothalign.metrics import auc
 from toothalign.swin import (
     CHANNELS,
-    DEFAULT_SPEC,
     init_weights,
     swin_block,
     swtbs_forward,
@@ -414,31 +413,34 @@ def test_criterion_10_network_suite():
         "bv": np.ones(CHANNELS),
         "bo": np.zeros(CHANNELS),
     }
-    out = window_attention(rng.normal(size=(4, 8, CHANNELS)), attn_w, heads=4)
+    every_key = np.ones((4, 8, 8), dtype=bool)
+    out = window_attention(rng.normal(size=(4, 8, CHANNELS)), attn_w, every_key)
     checks["softmax rows sum to 1"] = bool(np.abs(out - 1.0).max() < 1e-6)
 
     weights = init_weights(seed=0)
     big = rng.normal(size=(32, 512, CHANNELS))
-    pooled, trace = swtp_forward(big, weights, return_trace=True)
+    pooled, trace = swtp_forward(big, weights, np.ones(32, dtype=bool), return_trace=True)
     checks["trace 512-256-128-64-32"] = trace == [512, 256, 128, 64, 32]
     checks["constant channels"] = pooled.shape == (32, CHANNELS)
 
     clean = zero_biases(weights)
     x = rng.normal(0.0, 0.5, size=(32, 16, CHANNELS))
+    valid = np.ones((32, 16), dtype=bool)
     for shifted, band in ((False, set(range(8, 16))), (True, set(range(4, 12)))):
-        base = swin_block(x, DEFAULT_SPEC, clean["swtp"][0]["blk_a"], shifted)
+        base = swin_block(x, clean["swtp"][0]["blk_a"], shifted, valid)
         bumped = x.copy()
         bumped[10, 3, 7] += 1.0
-        probed = swin_block(bumped, DEFAULT_SPEC, clean["swtp"][0]["blk_a"], shifted)
+        probed = swin_block(bumped, clean["swtp"][0]["blk_a"], shifted, valid)
         rows = set(np.unique(np.nonzero((probed != base).any(axis=2))[0]).tolist())
         checks[f"row isolation shifted={shifted}"] = rows <= band and 10 in rows
 
     tokens = rng.normal(size=(32, CHANNELS))
     block = weights["center_block"]
-    got = swtbs_forward(tokens, block)
+    presence = np.ones(32, dtype=bool)
+    got = swtbs_forward(tokens, block, presence)
     cur, acc = tokens, np.zeros_like(tokens)
     for shifted in (False, True, False, True):
-        nxt = swin_block(cur, DEFAULT_SPEC, block, shifted)
+        nxt = swin_block(cur, block, shifted, presence)
         acc = acc + (nxt - cur)
         cur = nxt
     checks["shared-block tower matches unrolled oracle"] = np.array_equal(

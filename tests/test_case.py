@@ -1,6 +1,8 @@
 import copy
 import json
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +32,6 @@ from toothalign.case import (
     save_case,
     tooth_assembler,
     tooth_centers,
-    validate_case,
 )
 from toothalign.errors import (
     ComputationError,
@@ -44,6 +45,7 @@ from toothalign.errors import (
 from toothalign.geometry import RigidTransform, quat_from_axis_angle
 
 from conftest import gt_view
+from oracles import same_bits
 
 
 def test_constants():
@@ -90,16 +92,17 @@ def test_dumps_json_deterministic(case7):
     assert '"id"' in a and ": " not in a.split("\n")[0]
 
 
-def test_validate_rejects_bad_cases(case7):
+def test_save_rejects_bad_cases_and_writes_nothing(case7, tmp_path):
     bad = case7.copy()
     bad.upper.present_teeth()[0].points = np.zeros((40, 3))
     with pytest.raises(WrongPointCount):
-        validate_case(bad)
+        save_case(bad, tmp_path / "bad.case.json")
 
     dup = case7.copy()
     dup.upper.teeth.append(dup.upper.present_teeth()[0].copy())
     with pytest.raises(DuplicateTooth):
-        validate_case(dup)
+        save_case(dup, tmp_path / "dup.case.json")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_from_dict_rejects_wrong_jaw_and_schema():
@@ -157,6 +160,64 @@ def test_mutated_case_document_fails_typed(path, value):
         # a coordinate is accepted exactly when it is a number a float holds
         valid = type(value) in (int, float) and abs(value) <= sys.float_info.max
         assert (case is not None) == valid, (path, value)
+
+
+# extreme but valid coordinates: signed zero, the smallest subnormal and
+# values near the largest finite float must survive the text round trip
+_EDGE_COORDS = [0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308]
+_COORDS = st.one_of(
+    st.sampled_from(_EDGE_COORDS), st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+_N = 4  # points per tooth in the round-trip cases
+
+
+@st.composite
+def _cases(draw):
+    """Cases whose jaws mix absent teeth and present teeth with and
+    without gt_points."""
+    cloud = st.lists(st.tuples(_COORDS, _COORDS, _COORDS), min_size=_N, max_size=_N)
+    jaws = {}
+    for side, ids in (("upper", UPPER_IDS), ("lower", LOWER_IDS)):
+        chosen = draw(st.lists(st.sampled_from(list(ids)), min_size=1, max_size=4, unique=True))
+        # a jaw needs one present tooth; the rest may be absent
+        present = [True] + [draw(st.booleans()) for _ in chosen[1:]]
+        teeth = []
+        for tid, live in zip(chosen, present):
+            points = gt_points = None
+            if live:
+                points = np.array(draw(cloud), dtype=float)
+                if draw(st.booleans()):
+                    gt_points = np.array(draw(cloud), dtype=float)
+            radius = draw(st.sampled_from([0.25, 5e-324, 1.7e308, 0.1 + 0.2]))
+            teeth.append(Tooth(tid, live, draw(st.booleans()), points, gt_points, radius))
+        jaws[side] = Jaw(side, teeth)
+    case_id = draw(st.text(alphabet="az09-_ é\"", min_size=1, max_size=8))
+    return Case(case_id, jaws["upper"], jaws["lower"])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_cases())
+def test_case_json_round_trip_is_bit_exact(case):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "a.case.json", Path(tmp) / "b.case.json"
+        save_case(case, first, expected_points=_N)
+        back = load_case(first, expected_points=_N)
+        save_case(back, second, expected_points=_N)
+        assert first.read_bytes() == second.read_bytes()
+    assert back.id == case.id
+    for side in ("upper", "lower"):
+        want = sorted(case.jaw(side).teeth, key=lambda t: t.id)
+        got = back.jaw(side).teeth
+        assert [t.id for t in got] == [t.id for t in want]
+        for a, b in zip(want, got):
+            assert (a.present, a.moved, a.proxy_radius) == (b.present, b.moved, b.proxy_radius)
+            for field in ("points", "gt_points"):
+                x, y = getattr(a, field), getattr(b, field)
+                assert (x is None) == (y is None), (a.id, field)
+                if x is not None:
+                    assert same_bits(x, y), (a.id, field)
 
 
 @pytest.mark.parametrize(

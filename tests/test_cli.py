@@ -372,7 +372,9 @@ def test_negative_seed_exits_1(capsys, case_file):
         ["gen", "--cases", "0", "-o", "{tmp}"],
         ["sample", "--in", "{case}", "-n", "0", "-o", "{tmp}/x.case.json"],
         ["eval", "--pred-dir", "{dir}", "--gt-dir", "{dir}", "--k", "0"],
+        ["eval", "--pred-dir", "{dir}", "--gt-dir", "{dir}", "--k", "inf"],
         ["iterate", "--in", "{case}", "--gt", "{case}", "-n", "0"],
+        ["iterate", "--in", "{case}", "--gt", "{case}", "-n", "1", "--k", "inf"],
     ],
 )
 def test_out_of_range_argument_exits_1_with_one_log_line(

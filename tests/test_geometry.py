@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toothalign.errors import DegenerateCloud, EmptyCloud, InsufficientPoints
 from toothalign.geometry import (
@@ -64,11 +66,23 @@ def test_multiply_matches_matrix_product(rng):
         assert np.allclose(lhs, rhs, atol=1e-12)
 
 
-def test_matrix_round_trip(rng):
-    for _ in range(100):
-        q = quat_normalize(rng.normal(size=4))
-        q2 = quat_from_matrix(quat_to_matrix(q))
-        assert np.allclose(q2, q, atol=1e-9) or np.allclose(q2, -q, atol=1e-9)
+# unnormalized quaternions, kept away from the zero vector
+_QUATS = st.tuples(*[st.floats(-1.0, 1.0) for _ in range(4)]).filter(
+    lambda q: np.linalg.norm(q) > 1e-3
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_QUATS)
+def test_matrix_round_trip(raw):
+    q = quat_normalize(raw)
+    r = quat_to_matrix(q)
+    assert np.allclose(r @ r.T, np.eye(3), rtol=0, atol=1e-14)
+    assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-14)
+    back = quat_from_matrix(r)
+    # q and -q give the same matrix; the sign is lost where w is about 0
+    assert min(np.abs(back - q).max(), np.abs(back + q).max()) < 1e-12
+    assert np.allclose(quat_to_matrix(back), r, rtol=0, atol=1e-14)
 
 
 def test_rotation_angle_between_double_cover():
@@ -124,19 +138,23 @@ def test_inverse_round_trip(rng):
 
 # ------------------------------------------------------------ registration
 
-def test_kabsch_recovers_known_transform(rng):
-    for _ in range(50):
-        pts = rng.normal(size=(40, 3)) * 5.0
-        t = RigidTransform(
-            quat_from_axis_angle(rng.normal(size=3), rng.uniform(0, 3)),
-            rng.normal(size=3),
-            pts.mean(axis=0),
-        )
-        moved = t.apply(pts)
-        rec = kabsch_recover(pts, moved)
-        assert np.abs(rec.apply(pts) - moved).max() < 1e-9
-        # arccos cannot resolve angles much below ~3e-8 near identity
-        assert rotation_angle_between(rec.rotation, t.rotation) < 1e-7
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(4, 64),
+    spread=st.sampled_from([0.1, 1.0, 30.0]),
+    raw=_QUATS,
+    translation=st.tuples(*[st.floats(-50.0, 50.0) for _ in range(3)]),
+    pivot=st.tuples(*[st.floats(-50.0, 50.0) for _ in range(3)]),
+)
+def test_kabsch_recovers_known_transform(seed, n, spread, raw, translation, pivot):
+    pts = np.random.default_rng(seed).normal(0.0, spread, size=(n, 3))
+    t = RigidTransform(quat_normalize(raw), np.array(translation), np.array(pivot))
+    moved = t.apply(pts)
+    rec = kabsch_recover(pts, moved)
+    assert np.abs(rec.apply(pts) - moved).max() < 1e-9
+    # arccos cannot resolve angles much below ~3e-8 near identity
+    assert rotation_angle_between(rec.rotation, t.rotation) < 1e-7
 
 
 def test_kabsch_identical_clouds_exact_identity(rng):

@@ -16,11 +16,11 @@ from toothalign.losses import (
     recon_loss,
     recon_loss_from_transforms,
     recon_theta_fn,
-    recovered_transforms,
     rot_trans_loss,
     total_loss,
     val_theta_fn,
 )
+from toothalign.metrics import residual_transforms
 from toothalign.synthetic import generate_synthetic_case
 
 from conftest import gt_view
@@ -320,7 +320,7 @@ def test_total_test_mode_pins_enhancement(small_corpus):
     test = total_loss(pred, gt, test_mode=True)
     # recovered corrections are small, so train-mode factors sit below 2
     assert train.l_trans < test.l_trans
-    gt_t = recovered_transforms(pred, gt)
+    gt_t = residual_transforms(pred, gt)
     want = 2.0 * sum(np.abs(t.translation).sum() for t in gt_t.values())
     assert test.l_trans == pytest.approx(want, rel=1e-12)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from toothalign.errors import CorrespondenceMismatch
+from toothalign.errors import CorrespondenceMismatch, InvalidArgument
 from toothalign.geometry import RigidTransform, quat_from_axis_angle
 from toothalign.metrics import (
     CURVE_SAMPLES,
@@ -51,8 +51,9 @@ def test_auc_monotone_in_k():
 
 
 def test_auc_guards():
-    with pytest.raises(ValueError):
-        auc(np.array([1.0]), k=0.0)
+    for k in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(InvalidArgument):
+            auc(np.array([1.0]), k=k)
     with pytest.raises(ValueError):
         auc(np.array([]))
 

@@ -8,8 +8,7 @@ from toothalign.case import build_tooth_point_image, tooth_centers
 from toothalign.errors import BadHeadCount, IndivisibleGrid, OddColumns
 from toothalign.swin import (
     CHANNELS,
-    DEFAULT_SPEC,
-    WindowSpec,
+    HEADS,
     _gelu,
     center_encoder,
     column_merge,
@@ -52,34 +51,26 @@ def biased_weights(weights):
 
 # ------------------------------------------------------------- primitives
 
-def test_window_spec_validation():
-    WindowSpec(8, 0)
-    with pytest.raises(ValueError):
-        WindowSpec(0, 0)
-    with pytest.raises(ValueError):
-        WindowSpec(8, 8)
-
-
 def test_partition_reverse_bijection_2d(rng):
     grid = rng.normal(size=(32, 16, 8))
-    win = window_partition(grid, DEFAULT_SPEC)
+    win = window_partition(grid)
     assert win.shape == (8, 8, 8, 8)
-    back = window_reverse(win, grid.shape, DEFAULT_SPEC)
+    back = window_reverse(win, grid.shape)
     assert np.array_equal(back, grid)
 
 
 def test_partition_reverse_bijection_1d(rng):
     seq = rng.normal(size=(32, 8))
-    win = window_partition(seq, DEFAULT_SPEC)
+    win = window_partition(seq)
     assert win.shape == (4, 8, 8)
-    assert np.array_equal(window_reverse(win, seq.shape, DEFAULT_SPEC), seq)
+    assert np.array_equal(window_reverse(win, seq.shape), seq)
 
 
 def test_partition_row_major_layout():
     # tile (i, j) of the window list is grid block row i, block col j
     h = w = 16
     grid = (np.arange(h)[:, None, None] * 100.0 + np.arange(w)[None, :, None]).astype(float)
-    win = window_partition(grid, DEFAULT_SPEC)
+    win = window_partition(grid)
     assert win[0, 0, 0, 0] == 0.0
     assert win[1, 0, 0, 0] == 8.0  # second tile: cols 8.., row 0
     assert win[2, 0, 0, 0] == 800.0  # third tile: row block 1, cols 0..
@@ -87,9 +78,9 @@ def test_partition_row_major_layout():
 
 def test_partition_rejects_indivisible():
     with pytest.raises(IndivisibleGrid):
-        window_partition(np.zeros((30, 4)), DEFAULT_SPEC)
+        window_partition(np.zeros((30, 4)))
     with pytest.raises(IndivisibleGrid):
-        window_partition(np.zeros((20, 16, 4)), DEFAULT_SPEC)
+        window_partition(np.zeros((20, 16, 4)))
 
 
 def test_cyclic_shift_inverts(rng):
@@ -135,12 +126,12 @@ def test_gelu_frozen_values():
 # ------------------------------------------------------------ allow masks
 
 def test_allow_masks_unshifted_all_true():
-    allow = window_allow_masks((16, 32), DEFAULT_SPEC, shifted=False)
+    allow = window_allow_masks((16, 32), shifted=False, valid=np.ones(16, dtype=bool))
     assert allow.all()
 
 
 def test_allow_masks_shifted_1d_blocks():
-    allow = window_allow_masks((16, 32), DEFAULT_SPEC, shifted=True)
+    allow = window_allow_masks((16, 32), shifted=True, valid=np.ones(16, dtype=bool))
     # first window: one contiguous region; last window: two wrapped halves
     assert allow[0].all()
     want = np.zeros((8, 8), dtype=bool)
@@ -152,13 +143,13 @@ def test_allow_masks_shifted_1d_blocks():
 def test_allow_masks_block_invalid_keys():
     valid = np.ones(16, dtype=bool)
     valid[3] = False
-    allow = window_allow_masks((16, 32), DEFAULT_SPEC, shifted=False, valid=valid)
+    allow = window_allow_masks((16, 32), shifted=False, valid=valid)
     assert not allow[0][:, 3].any()
     assert allow[0][:, 2].all()
 
 
 def test_allow_masks_2d_shifted_separates_wrapped_rows():
-    allow = window_allow_masks((16, 16, 32), DEFAULT_SPEC, shifted=True, valid=None)
+    allow = window_allow_masks((16, 16, 32), shifted=True, valid=np.ones((16, 16), dtype=bool))
     # bottom-right window mixes four wrapped quadrants of 4x4 cells
     # each: every token may see only its own 16-cell region
     last = allow[-1]
@@ -173,7 +164,7 @@ def test_allow_masks_2d_shifted_separates_wrapped_rows():
 def test_attention_rows_sum_to_one(rng):
     # wv=0 with unit bias makes every value vector all-ones, and wo=I
     # passes the per-head row sums straight through
-    c, heads = 32, 4
+    c = 32
     weights = {
         "wq": rng.normal(0.0, 0.2, size=(c, c)),
         "wk": rng.normal(0.0, 0.2, size=(c, c)),
@@ -185,7 +176,7 @@ def test_attention_rows_sum_to_one(rng):
         "bo": np.zeros(c),
     }
     windows = rng.normal(size=(3, 8, c))
-    out = window_attention(windows, weights, heads=heads)
+    out = window_attention(windows, weights, np.ones((3, 8, 8), dtype=bool))
     assert np.allclose(out, 1.0, atol=1e-9)
 
 
@@ -203,7 +194,7 @@ def test_attention_orphan_query_is_zero(rng):
     }
     allow = np.ones((1, 8, 8), dtype=bool)
     allow[0, 2, :] = False  # query 2 may attend to nothing
-    out = window_attention(np.ones((1, 8, c)), weights, heads=4, allow=allow)
+    out = window_attention(np.ones((1, 8, c)), weights, allow)
     assert np.allclose(out[0, 2], 0.0, atol=0)
     assert np.allclose(out[0, 0], 1.0, atol=1e-9)
 
@@ -215,7 +206,6 @@ MASKS = [
     "window_all_false",
     "query_row_false",
     "all_true",
-    "none",
     "dead_query_rows",
     "dead_key_columns",
 ]
@@ -226,15 +216,14 @@ MASKS = [
     seed=st.integers(0, 2**32 - 1),
     nwin=st.integers(1, 4),
     length=st.sampled_from([1, 4, 8, 16, 64]),
-    heads=st.sampled_from([1, 2, 4]),
     dh=st.integers(1, 8),
     scale=st.sampled_from([0.1, 1.0, 30.0]),
     mask=st.sampled_from(MASKS),
 )
-def test_attention_equals_masked_oracle_bit_for_bit(seed, nwin, length, heads, dh, scale, mask):
+def test_attention_equals_masked_oracle_bit_for_bit(seed, nwin, length, dh, scale, mask):
     # large scales push allowed keys to exp underflow; biases are nonzero
     rng = np.random.default_rng(seed)
-    c = heads * dh
+    c = HEADS * dh
     w = {k: rng.normal(0.0, 0.5, size=(c, c)) for k in ("wq", "wk", "wv", "wo")}
     w |= {k: rng.normal(0.0, 0.5, size=c) for k in ("bq", "bk", "bv", "bo")}
     windows = rng.normal(0.0, scale, size=(nwin, length, c))
@@ -245,14 +234,12 @@ def test_attention_equals_masked_oracle_bit_for_bit(seed, nwin, length, heads, d
         allow[-1, length // 2] = False
     elif mask == "all_true":
         allow[:] = True
-    elif mask == "none":
-        allow = None
     elif mask == "dead_query_rows":
         allow[rng.random((nwin, length)) < 0.5] = False
     elif mask == "dead_key_columns":
         allow[:, :, rng.random(length) < 0.5] = False
-    got = window_attention(windows, w, heads=heads, allow=allow)
-    assert same_bits(got, masked_window_attention(windows, w, heads=heads, allow=allow))
+    got = window_attention(windows, w, allow)
+    assert same_bits(got, masked_window_attention(windows, w, allow))
 
 
 def test_attention_rejects_bad_heads(rng):
@@ -260,7 +247,7 @@ def test_attention_rejects_bad_heads(rng):
     weights = {k: np.zeros((c, c)) for k in ("wq", "wk", "wv", "wo")}
     weights |= {k: np.zeros(c) for k in ("bq", "bk", "bv", "bo")}
     with pytest.raises(BadHeadCount):
-        window_attention(np.zeros((1, 8, c)), weights, heads=4)
+        window_attention(np.zeros((1, 8, c)), weights, np.ones((1, 8, 8), dtype=bool))
 
 
 # ------------------------------------------------------------------ blocks
@@ -269,10 +256,11 @@ def test_block_delta_confined_to_window_band(weights, rng):
     # an impulse in one cell can reach only the 8 rows sharing its
     # window column band, never beyond
     x = rng.normal(0.0, 0.5, size=(32, 16, CHANNELS))
-    base = swin_block(x, DEFAULT_SPEC, weights["swtp"][0]["blk_a"], shifted=False)
+    valid = np.ones(x.shape[:2], dtype=bool)
+    base = swin_block(x, weights["swtp"][0]["blk_a"], False, valid)
     bumped = x.copy()
     bumped[10, 3, 7] += 1.0
-    out = swin_block(bumped, DEFAULT_SPEC, weights["swtp"][0]["blk_a"], shifted=False)
+    out = swin_block(bumped, weights["swtp"][0]["blk_a"], False, valid)
     changed_rows = np.unique(np.nonzero((out != base).any(axis=2))[0])
     assert set(changed_rows) <= set(range(8, 16))
     assert 10 in changed_rows
@@ -286,7 +274,7 @@ def test_block_zero_rows_stay_zero(weights, rng):
         x[row] = 0.0
         valid[row] = False
     for shifted in (False, True):
-        out = swin_block(x, DEFAULT_SPEC, clean["swtp"][1]["blk_a"], shifted, valid=valid)
+        out = swin_block(x, clean["swtp"][1]["blk_a"], shifted, valid)
         for row in (0, 13, 31):
             assert not out[row].any()
         assert out[1].any()
@@ -303,14 +291,14 @@ def test_block_invalid_cells_pass_through(biased_weights, rng, shape, shifted):
     x[~valid] = rng.choice([0.0, -0.0, 3.5], size=(int((~valid).sum()), 1))
     before = x.copy()
     block = biased_weights["swtp"][2]["blk_b"]
-    out = swin_block(x, DEFAULT_SPEC, block, shifted, valid=valid)
+    out = swin_block(x, block, shifted, valid)
     assert same_bits(x, before)
     assert same_bits(out[~valid], x[~valid])
-    want = full_grid_swin_block(x, DEFAULT_SPEC, block, shifted, valid=valid)
+    want = full_grid_swin_block(x, block, shifted, valid)
     assert same_bits(out[valid], want[valid])
+    every = np.ones(shape[:-1], dtype=bool)
     assert same_bits(
-        swin_block(x, DEFAULT_SPEC, block, shifted),
-        full_grid_swin_block(x, DEFAULT_SPEC, block, shifted),
+        swin_block(x, block, shifted, every), full_grid_swin_block(x, block, shifted, every)
     )
 
 
@@ -331,7 +319,7 @@ def test_column_merge_halves_and_keeps_rows_apart(weights, rng):
 
 def test_swtp_trace_and_shape(weights, rng):
     grid = rng.normal(size=(32, 512, CHANNELS))
-    pooled, trace = swtp_forward(grid, weights, return_trace=True)
+    pooled, trace = swtp_forward(grid, weights, np.ones(32, dtype=bool), return_trace=True)
     assert trace == [512, 256, 128, 64, 32]
     assert pooled.shape == (32, CHANNELS)
 
@@ -343,7 +331,7 @@ def test_swtp_masks_absent_rows(weights, rng):
     for row in (2, 17):
         presence[row] = False
         grid[row] = 0.0
-    pooled = swtp_forward(grid, clean, presence=presence)
+    pooled = swtp_forward(grid, clean, presence)
     assert not pooled[2].any()
     assert not pooled[17].any()
     assert pooled[3].any()
@@ -352,12 +340,13 @@ def test_swtp_masks_absent_rows(weights, rng):
 def test_swtbs_matches_unrolled_oracle(weights, rng):
     x = rng.normal(size=(32, CHANNELS))
     block = weights["center_block"]
-    got = swtbs_forward(x, block)
+    presence = np.ones(32, dtype=bool)
+    got = swtbs_forward(x, block, presence)
     # replicate the loop exactly: stepwise residual accumulation
     cur = x
     acc = np.zeros_like(x)
     for shifted in (False, True, False, True):
-        nxt = swin_block(cur, DEFAULT_SPEC, block, shifted)
+        nxt = swin_block(cur, block, shifted, presence)
         acc = acc + (nxt - cur)
         cur = nxt
     want = cur + acc
@@ -369,9 +358,10 @@ def test_swtbs_uses_one_shared_block(weights, rng):
     # differs from a tower that uses the original block anywhere
     x = rng.normal(size=(32, CHANNELS))
     block = weights["center_block"]
-    out_a = swtbs_forward(x, block)
+    presence = np.ones(32, dtype=bool)
+    out_a = swtbs_forward(x, block, presence)
     other = init_weights(seed=9)["center_block"]
-    out_b = swtbs_forward(x, other)
+    out_b = swtbs_forward(x, other, presence)
     assert not np.array_equal(out_a, out_b)
 
 
@@ -411,8 +401,6 @@ def test_init_weights_structure():
     assert w["patch_embed"]["w"].shape == (3, CHANNELS)
     assert w["head"]["w2"].shape == (CHANNELS, 7)
     assert not w["head"]["b2"].any()
-    with pytest.raises(BadHeadCount):
-        init_weights(seed=0, channels=30, heads=4)
 
 
 def test_zero_biases_scrubs_everything():

@@ -196,6 +196,9 @@ class ArchLine:
         with uniform samples and refined by a clamped Newton iteration on
         the stationarity condition (p - c(t)) . c'(t) = 0, then the best
         segment wins; projection is exact to about 1e-6 in parameter.
+        Each query stops iterating on its own, once no candidate of its
+        own moves by 1e-7, so a query's answer does not depend on the
+        other queries in the call.
         """
         p = np.atleast_2d(np.asarray(points, dtype=float))
         nseg = self.knots.shape[0] - 1
@@ -230,6 +233,10 @@ class ArchLine:
                 np.copyto(out, ends, where=at_end)
             return out
 
+        # A NaN step counts as moving. A stopped query's steps are still
+        # computed, not taken: gathering the live rows costs more than
+        # the third, and usually last, step would save.
+        live = np.ones(p.shape[0], dtype=bool)
         for _ in range(NEWTON_ITERS):
             c, d1, dd = curve(t)
             r = pt - c
@@ -237,9 +244,10 @@ class ArchLine:
             gp = -(d1 * d1).sum(axis=0) + (r * dd).sum(axis=0)
             step = g / np.where(np.abs(gp) > 1e-30, gp, -1e-30)
             nxt = np.minimum(np.maximum(t - step, lo), hi)
-            moved = np.abs(nxt - t).max()
-            t = nxt
-            if moved < 1e-7:
+            settled = (np.abs(nxt - t) < 1e-7).all(axis=1)
+            t = nxt if live.all() else np.where(live[:, None], nxt, t)
+            live &= ~settled
+            if not live.any():
                 break
 
         c = curve(t)[0]

@@ -15,6 +15,10 @@ Both passes only translate teeth, so the per-tooth rotation stays
 exactly the sampled one. Collision tests treat each cloud as a union
 of proxy spheres; they and the gap distances are exact k-d tree
 queries (see bvh), equal to an all-pairs scan.
+
+The joint loop of one case reuses a tooth's tree for as long as the
+tooth has not moved (see _tree_of). The public passes below copy their
+input once and run the same in-place helpers on the copy.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .arch import ArchLine, fit_arch_line
-from .bvh import AabbTree, interlock_masks, nearest_distances
+from .bvh import AabbTree, boxes_apart, cloud_gap, interlock_masks
 from .case import Case, Jaw, Tooth, midline_offset
 from .config import AugmentConfig
 from .errors import (
@@ -65,10 +69,15 @@ def perturb_tooth(tooth: Tooth, seed: int, config: AugmentConfig) -> RigidTransf
 
 # --------------------------------------------------------------- collision
 
-def _interlock(a: Tooth, b: Tooth, trees: dict[int, AabbTree]):
-    radius = a.proxy_radius + b.proxy_radius
-    mask_a, mask_b, d_min = interlock_masks(trees[a.id], trees[b.id], radius)
-    return mask_a, mask_b, d_min, radius
+def _tree_of(tooth: Tooth, trees: dict[int, AabbTree]) -> AabbTree:
+    """The tree over the tooth's current points, from trees when the
+    entry there holds the very array ``tooth.points`` is bound to, else
+    built and stored. Every move rebinds ``points`` (see _translate) and
+    nothing writes them in place, so a moved tooth always misses."""
+    tree = trees.get(tooth.id)
+    if tree is None or tree.data is not tooth.points:
+        tree = trees[tooth.id] = AabbTree(tooth.points)
+    return tree
 
 
 def penetration_distance(tooth_a: Tooth, tooth_b: Tooth) -> float:
@@ -79,37 +88,45 @@ def penetration_distance(tooth_a: Tooth, tooth_b: Tooth) -> float:
     A single coincident contact point yields ~0; this is the raw
     extent, see detect_collisions for the always-positive resolution step.
     """
-    trees = {tooth_a.id: AabbTree(tooth_a.points), tooth_b.id: AabbTree(tooth_b.points)}
-    mask_a, mask_b, _, _ = _interlock(tooth_a, tooth_b, trees)
+    radius = tooth_a.proxy_radius + tooth_b.proxy_radius
+    mask_a, mask_b, _ = interlock_masks(AabbTree(tooth_a.points), AabbTree(tooth_b.points), radius)
     if not mask_a.any():
         raise NoCollision(f"teeth {tooth_a.id} and {tooth_b.id} do not interlock")
     pa, pb = tooth_a.points[mask_a], tooth_b.points[mask_b]
     return float(np.sqrt(((pa[:, None, :] - pb[None, :, :]) ** 2).sum(axis=-1).max()))
 
 
-def _separation_step(a: Tooth, b: Tooth, trees) -> float | None:
+def _separation_step(a: AabbTree, b: AabbTree, radius: float) -> float | None:
     """None when disjoint; otherwise a positive slide distance that
     clears the overlap: proxy penetration depth plus a hair of margin.
 
     Deliberately NOT the interlock extent penetration_distance reports;
     extent-sized slides over-separate banded contacts by millimetres and
     fight the gap constraint."""
-    mask_a, mask_b, d_min, radius = _interlock(a, b, trees)
+    mask_a, _, d_min = interlock_masks(a, b, radius)
     if not mask_a.any():
         return None
     return radius - d_min + 1e-3
 
 
-def detect_collisions(jaw: Jaw) -> list[tuple[int, int, float]]:
+def detect_collisions(jaw: Jaw, trees: dict[int, AabbTree] | None = None) -> list[tuple[int, int, float]]:
     """All interlocking present-tooth pairs ``(id_a, id_b, step)``, in
     ascending id order; each step is a positive slide that clears the
-    overlap."""
+    overlap. A pair whose grown bounding boxes are apart cannot
+    interlock and is not tested. ``trees`` maps tooth ids to trees
+    that the call reuses and adds to (see _tree_of); it never changes
+    the result."""
     teeth = jaw.present_teeth()
-    trees = {t.id: AabbTree(t.points) for t in teeth}
+    trees = {} if trees is None else trees
     pairs = []
     for i, a in enumerate(teeth):
+        tree_a = _tree_of(a, trees)
         for b in teeth[i + 1 :]:
-            step = _separation_step(a, b, trees)
+            tree_b = _tree_of(b, trees)
+            radius = a.proxy_radius + b.proxy_radius
+            if boxes_apart(tree_a, tree_b, radius):
+                continue
+            step = _separation_step(tree_a, tree_b, radius)
             if step is not None:
                 pairs.append((a.id, b.id, step))
     return pairs
@@ -117,15 +134,13 @@ def detect_collisions(jaw: Jaw) -> list[tuple[int, int, float]]:
 
 # ------------------------------------------------------------- constraints
 
-def adjacent_gaps(jaw: Jaw) -> list[tuple[int, int, float]]:
+def adjacent_gaps(jaw: Jaw, trees: dict[int, AabbTree] | None = None) -> list[tuple[int, int, float]]:
     """Nearest point-pair distance between adjacent present teeth;
-    adjacency means consecutive present ids (absences skipped)."""
+    adjacency means consecutive present ids (absences skipped).
+    ``trees`` is as in detect_collisions."""
     teeth = jaw.present_teeth()
-    out = []
-    for a, b in zip(teeth, teeth[1:]):
-        gap = nearest_distances(a.points, AabbTree(b.points)).min()
-        out.append((a.id, b.id, float(gap)))
-    return out
+    trees = {} if trees is None else trees
+    return [(a.id, b.id, cloud_gap(a.points, _tree_of(b, trees))) for a, b in zip(teeth, teeth[1:])]
 
 
 def _center_out(teeth: list[Tooth]) -> list[Tooth]:
@@ -144,12 +159,6 @@ def _mesial_neighbor(jaw: Jaw, tooth_id: int) -> Tooth | None:
 
 def _translate(tooth: Tooth, vec: np.ndarray) -> None:
     tooth.points = tooth.points + vec
-
-
-def _arch_distance(arch: ArchLine, tooth: Tooth) -> float:
-    """Unsigned arch distance of the centroid: one projection, and no
-    labial side, which abs() of the signed distance would drop again."""
-    return float(arch.project(tooth.centroid()[None, :])[2][0])
 
 
 def _pull_to_arch(tooth: Tooth, arch: ArchLine, lo: float, hi: float) -> float:
@@ -171,13 +180,13 @@ def _pull_to_arch(tooth: Tooth, arch: ArchLine, lo: float, hi: float) -> float:
     return total
 
 
-def _close_gap(tooth: Tooth, mesial: Tooth, arch: ArchLine, threshold: float) -> float:
+def _close_gap(tooth: Tooth, mesial: Tooth, arch: ArchLine, threshold: float, trees) -> float:
     """Slides tooth toward the midline along the arch until its gap to
     the mesial neighbor is at most threshold. Returns total slide."""
     total = 0.0
-    mesial_tree = AabbTree(mesial.points)
+    mesial_tree = _tree_of(mesial, trees)
     for _ in range(_PULL_STEPS):
-        gap = float(nearest_distances(tooth.points, mesial_tree).min())
+        gap = cloud_gap(tooth.points, mesial_tree)
         if gap <= threshold:
             break
         delta = -(gap - (threshold - _SLACK))
@@ -188,6 +197,23 @@ def _close_gap(tooth: Tooth, mesial: Tooth, arch: ArchLine, threshold: float) ->
     return total
 
 
+def _regularize(jaw: Jaw, arch: ArchLine, config: AugmentConfig, trees) -> None:
+    """jaw_regularize, in place."""
+    lo, hi = config.arch_dist_range
+    order = _center_out(jaw.present_teeth())
+    for _ in range(_REGULARIZE_PASSES):
+        shifted = 0.0
+        for k, tooth in enumerate(order):
+            shifted += _pull_to_arch(tooth, arch, lo, hi)
+            if k == 0:
+                continue
+            mesial = _mesial_neighbor(jaw, tooth.id)
+            if mesial is not None:
+                shifted += _close_gap(tooth, mesial, arch, config.gap_threshold, trees)
+        if shifted < 1e-9:
+            break
+
+
 def jaw_regularize(jaw: Jaw, arch: ArchLine, config: AugmentConfig) -> Jaw:
     """Center-out constraint pass, repeated to a fixed point: arch
     distances into range, then each tooth's gap to its mesial neighbor
@@ -195,19 +221,7 @@ def jaw_regularize(jaw: Jaw, arch: ArchLine, config: AugmentConfig) -> Jaw:
     slid). Pure; the input jaw is left untouched."""
     config.validate()
     out = jaw.copy()
-    lo, hi = config.arch_dist_range
-    order = _center_out(out.present_teeth())
-    for _ in range(_REGULARIZE_PASSES):
-        shifted = 0.0
-        for k, tooth in enumerate(order):
-            shifted += _pull_to_arch(tooth, arch, lo, hi)
-            if k == 0:
-                continue
-            mesial = _mesial_neighbor(out, tooth.id)
-            if mesial is not None:
-                shifted += _close_gap(tooth, mesial, arch, config.gap_threshold)
-        if shifted < 1e-9:
-            break
+    _regularize(out, arch, config, {})
     for tooth in out.present_teeth():
         _refresh_moved(tooth, jaw.get(tooth.id))
     return out
@@ -220,28 +234,16 @@ def _refresh_moved(tooth: Tooth, before: Tooth | None) -> None:
         tooth.moved = True
 
 
-def resolve_collisions_verbose(
-    jaw: Jaw, arch: ArchLine, config: AugmentConfig
-) -> tuple[Jaw, int]:
-    """Iteratively separates colliding pairs by sliding the tooth
-    farther from the midline outward along the arch; returns the
-    collision-free jaw and the number of iterations used.
-
-    Raises CollisionUnresolved when max_collision_iters passes still
-    leave a collision.
-    """
-    config.validate()
-    out = jaw.copy()
+def _resolve(jaw: Jaw, arch: ArchLine, config: AugmentConfig, trees) -> int:
+    """resolve_collisions_verbose, in place; returns the iterations."""
     for iteration in range(config.max_collision_iters + 1):
-        pairs = detect_collisions(out)
+        pairs = detect_collisions(jaw, trees)
         if not pairs:
-            for tooth in out.present_teeth():
-                _refresh_moved(tooth, jaw.get(tooth.id))
-            return out, iteration
+            return iteration
         if iteration == config.max_collision_iters:
             break
         for id_a, id_b, step in pairs:
-            a, b = out.get(id_a), out.get(id_b)
+            a, b = jaw.get(id_a), jaw.get(id_b)
             mover = max(a, b, key=lambda t: (midline_offset(t.id), t.id))
             c = mover.centroid()
             vec = arch.move_along(c, step, extend=True) - c
@@ -250,6 +252,24 @@ def resolve_collisions_verbose(
     raise CollisionUnresolved(
         f"collisions remain after {config.max_collision_iters} iterations: teeth {remaining}"
     )
+
+
+def resolve_collisions_verbose(
+    jaw: Jaw, arch: ArchLine, config: AugmentConfig
+) -> tuple[Jaw, int]:
+    """Iteratively separates colliding pairs by sliding the tooth
+    farther from the midline outward along the arch; returns the
+    collision-free jaw and the number of iterations used. Pure.
+
+    Raises CollisionUnresolved when max_collision_iters passes still
+    leave a collision.
+    """
+    config.validate()
+    out = jaw.copy()
+    iterations = _resolve(out, arch, config, {})
+    for tooth in out.present_teeth():
+        _refresh_moved(tooth, jaw.get(tooth.id))
+    return out, iterations
 
 
 # ------------------------------------------------------------ case drivers
@@ -267,17 +287,24 @@ def _gt_jaw(jaw: Jaw) -> Jaw:
     return out
 
 
-def _measure(jaw: Jaw, arch: ArchLine | None, config: AugmentConfig) -> tuple[float, float, str]:
+def _measure(
+    jaw: Jaw, arch: ArchLine | None, config: AugmentConfig, trees
+) -> tuple[float, float, str]:
     """Widest adjacent gap, largest centroid arch distance (0.0 without
     an arch), and what breaks: empty when every gap and arch distance
     holds; otherwise the widest breaking gap and the arch distance
-    farthest outside its range."""
+    farthest outside its range. Arch distances are unsigned: one
+    projection of every centroid, and no labial side."""
     broken = []
-    a, b, gap = max(adjacent_gaps(jaw), key=lambda g: g[2], default=(0, 0, 0.0))
+    a, b, gap = max(adjacent_gaps(jaw, trees), key=lambda g: g[2], default=(0, 0, 0.0))
     if gap > config.gap_threshold + 1e-9:
         broken.append(f"gap {a}-{b} is {gap:.6g} mm > {config.gap_threshold} mm")
     lo, hi = config.arch_dist_range
-    dists = [(_arch_distance(arch, t), t.id) for t in jaw.present_teeth()] if arch else []
+    teeth = jaw.present_teeth()
+    dists = []
+    if arch and teeth:
+        far = arch.project(np.array([t.centroid() for t in teeth]))[2]
+        dists = [(float(d), t.id) for d, t in zip(far, teeth)]
     outside = [
         (max(lo - d, d - hi), tid, d) for d, tid in dists if not lo - 1e-9 <= d <= hi + 1e-9
     ]
@@ -330,8 +357,9 @@ def check_constraints(case: Case, config: AugmentConfig) -> dict:
         if len(teeth) >= 2:
             has_gt = all(t.gt_points is not None for t in teeth)
             arch = fit_arch_line(_gt_jaw(jaw)) if has_gt else fit_arch_line(jaw)
-        gap, dist, broken = _measure(jaw, arch, config)
-        jaws[side] = _jaw_entry(jaw, gap, dist, broken, len(detect_collisions(jaw)), config)
+        trees: dict[int, AabbTree] = {}
+        gap, dist, broken = _measure(jaw, arch, config, trees)
+        jaws[side] = _jaw_entry(jaw, gap, dist, broken, len(detect_collisions(jaw, trees)), config)
     return _report(case.id, jaws)
 
 
@@ -353,6 +381,7 @@ def constrained_augment_case_report(
     out = gt_case.copy()
     jaws: dict[str, dict] = {}
     iterations: dict[str, int] = {}
+    trees: dict[int, AabbTree] = {}  # see _tree_of
     for side in ("upper", "lower"):
         working = _gt_jaw(out.jaw(side))
         arch = fit_arch_line(working)
@@ -361,15 +390,14 @@ def constrained_augment_case_report(
             tooth.points = t.apply(tooth.points)
         total_iters = 0
         for _ in range(_JOINT_ROUNDS):
-            working = jaw_regularize(working, arch, config)
-            working, iters = resolve_collisions_verbose(working, arch, config)
-            total_iters += iters
-            gap, dist, broken = _measure(working, arch, config)
+            _regularize(working, arch, config, trees)
+            total_iters += _resolve(working, arch, config, trees)
+            gap, dist, broken = _measure(working, arch, config, trees)
             if not broken:
                 break
         else:
             raise ConstraintViolation(f"jaw {side}: after {_JOINT_ROUNDS} joint rounds, {broken}")
-        # resolve_collisions_verbose returns only a collision-free jaw
+        # _resolve returns only on a collision-free jaw
         jaws[side] = _jaw_entry(working, gap, dist, broken, 0, config)
         iterations[side] = total_iters
         target = out.jaw(side)

@@ -53,6 +53,11 @@ def add_error(pred_case: Case, gt_case: Case) -> tuple[np.ndarray, float]:
     return distances, float(distances.mean())
 
 
+def _check_k(k: float) -> None:
+    if not (k > 0 and np.isfinite(k)):
+        raise InvalidArgument(f"k must be positive and finite, got {k}")
+
+
 def auc(distances, k: float = 5.0) -> float:
     """Exact area under the distance CDF over [0, k], divided by k.
 
@@ -60,8 +65,7 @@ def auc(distances, k: float = 5.0) -> float:
     the integral of the step CDF. 1.0 when all distances are 0, 0.0
     when none is below k.
     """
-    if not (k > 0 and np.isfinite(k)):
-        raise InvalidArgument(f"k must be positive and finite, got {k}")
+    _check_k(k)
     d = np.asarray(distances, dtype=float)
     if d.size == 0:
         raise ValueError("auc needs at least one distance")
@@ -175,7 +179,9 @@ def iterate_predict(model, case: Case, n: int) -> list[Case]:
 
 
 def iteration_metrics(model, case: Case, gt_case: Case, n: int, k: float = 5.0) -> list[dict]:
-    """Per-iteration metric table for repeated prediction."""
+    """Per-iteration metric table for repeated prediction. A bad k is
+    rejected before the first prediction runs."""
+    _check_k(k)
     rows = []
     for i, pred in enumerate(iterate_predict(model, case, n)):
         row = {"iteration": i + 1}

@@ -45,10 +45,12 @@ from .errors import BadHeadCount, IndivisibleGrid, OddColumns
 from .geometry import RigidTransform, quat_normalize
 
 CHANNELS = 32
+SLOTS = 32  # tooth slots: the rows of every grid
 HEADS = 4
 WINDOW = 8
 SHIFT = 4
 SWTP_STAGES = 4
+NORM_EPS = 1e-5  # added to the layer-norm variance
 # query rows per attention batch; see window_attention
 _ROW_BLOCK = 8
 
@@ -59,12 +61,12 @@ def _gelu(x: np.ndarray) -> np.ndarray:
     return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
 
 
-def layer_norm(x: np.ndarray, params: dict, eps: float = 1e-5) -> np.ndarray:
+def layer_norm(x: np.ndarray, params: dict) -> np.ndarray:
     # one centering pass, reused for the variance: the same operations
     # np.var runs, in the same order
     y = x - x.mean(axis=-1, keepdims=True)
     var = (y * y).sum(axis=-1, keepdims=True) / x.shape[-1]
-    y /= np.sqrt(var + eps)
+    y /= np.sqrt(var + NORM_EPS)
     y *= params["gamma"]
     y += params["beta"]
     return y
@@ -298,12 +300,12 @@ def swtp_forward(grid: np.ndarray, weights: dict, presence: np.ndarray, return_t
     return pooled
 
 
-def positional_encoding(rows: int = 32, channels: int = CHANNELS) -> np.ndarray:
-    """Fixed sinusoidal code over tooth slot index."""
-    pos = np.arange(rows)[:, None].astype(float)
-    i = np.arange(channels // 2)[None, :].astype(float)
-    freq = 1.0 / np.power(10000.0, 2.0 * i / channels)
-    pe = np.zeros((rows, channels))
+def positional_encoding() -> np.ndarray:
+    """Fixed sinusoidal code over tooth slot index, (SLOTS, CHANNELS)."""
+    pos = np.arange(SLOTS)[:, None].astype(float)
+    i = np.arange(CHANNELS // 2)[None, :].astype(float)
+    freq = 1.0 / np.power(10000.0, 2.0 * i / CHANNELS)
+    pe = np.zeros((SLOTS, CHANNELS))
     pe[:, 0::2] = np.sin(pos * freq)
     pe[:, 1::2] = np.cos(pos * freq)
     return pe
@@ -316,7 +318,7 @@ def center_encoder(centers: np.ndarray, weights: dict) -> np.ndarray:
     w = weights["center_mlp"]
     h = _gelu(centers @ w["w1"] + w["b1"])
     emb = h @ w["w2"] + w["b2"]
-    return emb + positional_encoding(centers.shape[0], emb.shape[1])
+    return emb + positional_encoding()
 
 
 # --------------------------------------------------------------- weights

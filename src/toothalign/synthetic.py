@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bvh import AabbTree, nearest_distances
+from .bvh import AabbTree, cloud_gap
 from .case import Case, Jaw, Tooth
 from .errors import ConfigError, InfeasibleParams
 from .geometry import RigidTransform, quat_from_axis_angle
@@ -155,9 +155,7 @@ def _build_jaw(side: str, ids: list[int], params: SynthParams, rng) -> Jaw:
             _crown_cloud(directions, centers[i], tangents[i], sizes[i], spins[i], jitters[i])
             for i in range(n)
         ]
-        measured = np.array(
-            [nearest_distances(clouds[i], AabbTree(clouds[i + 1])).min() for i in range(n - 1)]
-        )
+        measured = np.array([cloud_gap(clouds[i], AabbTree(clouds[i + 1])) for i in range(n - 1)])
         err = gaps - measured
         if np.abs(err).max() < 0.02:
             break

@@ -235,15 +235,17 @@ def _ppoly_project(spline, p):
     t = top + (np.take_along_axis(best, top, 1) + 0.5) / PROJECTION_SEEDS
     lo = top.astype(float)
     hi = lo + 1.0
+    live = np.ones(p.shape[0], dtype=bool)  # each query stops on its own
     for _ in range(NEWTON_ITERS):
         c, d1, dd = spline(t), deriv(t), deriv2(t)
         r = p[:, None, :] - c
         g = (r * d1).sum(axis=2)
         gp = -(d1 * d1).sum(axis=2) + (r * dd).sum(axis=2)
         nxt = np.clip(t - g / np.where(np.abs(gp) > 1e-30, gp, -1e-30), lo, hi)
-        moved = np.abs(nxt - t).max()
-        t = nxt
-        if moved < 1e-7:
+        moved = np.abs(nxt - t).max(axis=1)
+        t = np.where(live[:, None], nxt, t)
+        live &= ~(moved < 1e-7)
+        if not live.any():
             break
     c = spline(t)
     dist2 = ((p[:, None, :] - c) ** 2).sum(axis=2)
@@ -276,4 +278,33 @@ def test_projection_equals_ppoly_projection_bit_for_bit(curve, seed):
     t = rng.uniform(-0.5, len(knots) - 0.5, 40)
     p = np.concatenate([spline(t) + rng.normal(0.0, 3.0, (40, 3)), knots, knots[[0, -1]] * 3.0])
     for got, want in zip(arch.project(p), _ppoly_project(spline, p)):
+        assert same_bits(got, want)
+
+
+@st.composite
+def arches_with_queries(draw):
+    """A Catmull-Rom arch through 2-16 random knots, and queries near
+    the curve, on every knot, far off it and beyond both ends."""
+    m = draw(st.integers(2, 16))
+    knots = draw(arrays(np.float64, (m, 3), elements=st.floats(-30.0, 30.0)))
+    arch = ArchLine.from_centers(knots)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = rng.uniform(0.0, m - 1.0, 20)
+    ends = arch.point_at(np.array([0.0, m - 1.0]))
+    heads = arch.tangent_at(np.array([0.0, m - 1.0])) * np.array([[-1.0], [1.0]])
+    beyond = ends + heads * rng.uniform(0.1, 5.0, (2, 1)) + rng.normal(0.0, 0.5, (2, 3))
+    far = rng.normal(0.0, 500.0, (4, 3))
+    near = arch.point_at(t) + rng.normal(0.0, 2.0, (20, 3))
+    return arch, np.concatenate([near, knots, far, beyond])
+
+
+@PROPERTY
+@given(arches_with_queries())
+def test_projection_of_a_batch_is_the_projection_of_each_row(data):
+    """A query's projection does not depend on the other queries in the
+    call: each one stops iterating on its own."""
+    arch, p = data
+    batch = arch.project(p)
+    rows = [arch.project(p[i : i + 1]) for i in range(len(p))]
+    for got, want in zip(batch, (np.concatenate(r) for r in zip(*rows))):
         assert same_bits(got, want)

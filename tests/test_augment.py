@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from toothalign import augment
 from toothalign.arch import fit_arch_line
 from toothalign.augment import (
     AugmentConfig,
@@ -16,6 +17,7 @@ from toothalign.augment import (
     perturb_tooth,
     resolve_collisions_verbose,
 )
+from toothalign.bvh import AabbTree
 from toothalign.case import Jaw, Tooth
 from toothalign.config import config_from_dict
 from toothalign.errors import (
@@ -28,7 +30,7 @@ from toothalign.seeding import derive_seed
 from toothalign.synthetic import SynthParams, generate_synthetic_case
 
 from conftest import gt_view
-from oracles import brute_collision_pairs, brute_min_distance, maxwell_mean
+from oracles import brute_collision_pairs, brute_min_distance, maxwell_mean, same_bits
 
 
 def _tooth(tid, pts, radius=0.25, gt=None):
@@ -360,6 +362,36 @@ def test_constrained_report_is_check_constraints(config):
         expected = check_constraints(out, config)
         expected["collision_iterations"] = report["collision_iterations"]
         assert report == expected
+
+
+def test_reused_trees_are_never_stale(monkeypatch):
+    """The joint loop reuses a tooth's tree while the tooth has not
+    moved; building every tree afresh must give the same cases and
+    reports, bit for bit, while building more trees."""
+    runs = [
+        (generate_synthetic_case(SynthParams(teeth_per_jaw=n), seed=2000 + n, case_id=f"t{n}"), seed)
+        for n in (8, 9, 10, 12)
+        for seed in (3, 4)
+    ]
+    builds = []
+
+    class CountingTree(AabbTree):
+        def __init__(self, points):
+            builds[-1] += 1
+            super().__init__(points)
+
+    monkeypatch.setattr(augment, "AabbTree", CountingTree)
+    results = []
+    for tree_of in (augment._tree_of, lambda tooth, trees: CountingTree(tooth.points)):
+        monkeypatch.setattr(augment, "_tree_of", tree_of)
+        builds.append(0)
+        results.append([constrained_augment_case_report(case, seed) for case, seed in runs])
+    assert builds[0] < builds[1]
+    for (reused, report), (fresh, want) in zip(*results):
+        assert report == want
+        for a, b in zip(reused.upper.teeth + reused.lower.teeth, fresh.upper.teeth + fresh.lower.teeth):
+            assert same_bits(a.points, b.points)
+            assert a.moved == b.moved
 
 
 def test_ordinary_augment_trigger_rate(corpus):

@@ -54,11 +54,12 @@ def test_bench_record_writes_every_run_in_order(tool, tmp_path):
     assert set(machine) >= {"nproc", "python", "numpy", "scipy", "blas", "blas_threads_set_by_bench_run"}
     assert machine["nproc"] >= 1 and machine["blas_threads_set_by_bench_run"] == 1
     assert [(r["run"]["workload"], r["run"]["trace"]) for r in record["runs"]] == ORDER
-    # untraced runs were calls 1, 3 and 5; traced metrics stay out of the summary
+    # untraced runs were calls 1, 3 and 5, traced runs calls 2, 4 and 6
     assert record["summary"] == {
         w: {
             "case_s_p50": {"n": 1, "q1_median_q3": [v, v, v]},
             "peak_rss_mb": {"n": 1, "q1_median_q3": [100.0] * 3},
+            "per_layer": {"swin.window_attention_s": {"n": 1, "median": v + 1.0}},
         }
         for w, v in (("augment", 1.0), ("align", 3.0), ("cli", 5.0))
     }
@@ -69,8 +70,9 @@ def test_bench_record_appends_to_a_file_of_the_same_revision(tool, tmp_path):
         assert tool.main(["--label", "x", "--out-dir", str(tmp_path)]) == 0
     record = json.loads((tmp_path / "BENCH_x.json").read_text())
     assert [(r["run"]["workload"], r["run"]["trace"]) for r in record["runs"]] == ORDER * 3
-    # align ran untraced as calls 3, 9 and 15
+    # align ran untraced as calls 3, 9 and 15, traced as calls 4, 10 and 16
     assert record["summary"]["align"]["case_s_p50"] == {"n": 3, "q1_median_q3": [6.0, 9.0, 12.0]}
+    assert record["summary"]["align"]["per_layer"] == {"swin.window_attention_s": {"n": 3, "median": 10.0}}
 
 
 @pytest.mark.parametrize("key, value", [("git_head", "0" * 40), ("machine", {"nproc": 0}), ("smoke", True)])

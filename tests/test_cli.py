@@ -390,6 +390,19 @@ def test_out_of_range_argument_exits_1_with_one_log_line(
     assert list(tmp_path.iterdir()) == []
 
 
+def test_iterate_rejects_k_before_any_forward_pass(monkeypatch, capsys, caplog, case_file):
+    def no_forward(*args, **kwargs):
+        raise AssertionError("a forward pass ran before k was checked")
+
+    monkeypatch.setattr("toothalign.swin.predict_case", no_forward)
+    argv = ["iterate", "--in", str(case_file), "--gt", str(case_file), "-n", "4", "--k", "inf"]
+    code, out = _run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    records = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert [r.getMessage() for r in records] == ["InvalidArgument: k must be positive and finite, got inf"]
+
+
 def _set(doc, path, value):
     for key in path[:-1]:
         doc = doc[key]

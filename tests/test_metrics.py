@@ -191,3 +191,13 @@ def test_iteration_metrics_improve_with_contraction(small_corpus):
     assert rows[0]["iteration"] == 1
     assert all(a > b for a, b in zip(adds, adds[1:]))
     assert adds[1] == pytest.approx(adds[0] / 2.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("k", [0.0, -1.0, np.inf, np.nan])
+def test_iteration_metrics_checks_k_before_predicting(small_corpus, k):
+    def model(case):
+        raise AssertionError("predicted before k was checked")
+
+    case = small_corpus[0]
+    with pytest.raises(InvalidArgument):
+        iteration_metrics(model, case, gt_view(case), n=3, k=k)

@@ -368,7 +368,7 @@ def test_swtbs_uses_one_shared_block(weights, rng):
 # --------------------------------------------------------------- encoders
 
 def test_positional_encoding_values():
-    pe = positional_encoding(32, CHANNELS)
+    pe = positional_encoding()
     assert pe.shape == (32, CHANNELS)
     assert not pe[0, 0::2].any()  # sin(0)
     assert np.all(pe[0, 1::2] == 1.0)  # cos(0)
@@ -379,7 +379,7 @@ def test_center_encoder_distinguishes_slots(weights):
     centers = np.zeros((32, 3))
     centers[:] = [0.1, -0.2, 0.05]
     emb = center_encoder(centers, weights)
-    pe = positional_encoding(32, CHANNELS)
+    pe = positional_encoding()
     # identical inputs at different slots differ by exactly the code
     assert np.allclose(emb[4] - emb[9], pe[4] - pe[9], atol=0)
 

@@ -11,7 +11,8 @@ adds its runs to that file, so calls alternated between a parent and a
 change checkout build up a before/after pair from interleaved runs; it
 refuses a file recorded at another revision or on another machine. The
 file's ``summary`` holds, per workload and end-to-end metric, the first
-quartile, median and third quartile over every untraced run. ``--smoke``
+quartile, median and third quartile over every untraced run, and per
+per-layer metric the median over every traced run. ``--smoke``
 passes ``--smoke`` on to every run, for tests. The exit code is 0 when
 every run completed and the file was written.
 """
@@ -77,20 +78,27 @@ def run_bench(workload: str, trace: int, smoke: bool) -> dict:
 
 
 def summarize(runs: list) -> dict:
-    """Quartiles (q1, median, q3) of every end-to-end metric per workload."""
+    """Per workload: the quartiles (q1, median, q3) of every end-to-end
+    metric over the untraced runs, and under ``per_layer`` the median of
+    every per-layer metric over the traced runs."""
     values: dict = {}
     for r in runs:
-        if r["run"]["trace"] == 0:
-            metrics = values.setdefault(r["run"]["workload"], {})
-            for name, m in r["result"]["metrics"].items():
-                metrics.setdefault(name, []).append(m["value"])
-    return {
-        workload: {
+        pools = values.setdefault(r["run"]["workload"], ({}, {}))
+        metrics = pools[r["run"]["trace"]]
+        for name, m in r["result"]["metrics"].items():
+            metrics.setdefault(name, []).append(m["value"])
+    summary = {}
+    for workload, (end_to_end, per_layer) in values.items():
+        entry = {
             name: {"n": len(v), "q1_median_q3": np.percentile(v, [25, 50, 75]).tolist()}
-            for name, v in sorted(metrics.items())
+            for name, v in sorted(end_to_end.items())
         }
-        for workload, metrics in values.items()
-    }
+        if per_layer:
+            entry["per_layer"] = {
+                name: {"n": len(v), "median": float(np.median(v))} for name, v in sorted(per_layer.items())
+            }
+        summary[workload] = entry
+    return summary
 
 
 def main(argv=None) -> int:

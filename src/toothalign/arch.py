@@ -215,16 +215,17 @@ class ArchLine:
         top = np.argpartition(segd, k - 1, axis=1)[:, :k] if nseg > k else (
             np.broadcast_to(np.arange(nseg), (p.shape[0], nseg)).copy()
         )
-        t = top + (np.take_along_axis(best, top, 1) + 0.5) / PROJECTION_SEEDS
+        top_k = np.ascontiguousarray(top.T)  # candidate-major (k, n) from here on
+        t = top_k + (np.take_along_axis(best, top, 1).T + 0.5) / PROJECTION_SEEDS
 
         # Each candidate stays on its segment [lo, lo + 1], so coefficients
-        # are gathered once, coordinate-major (rows, xyz, n, k); a
+        # are gathered once, coordinate-major (rows, xyz, k, n); a
         # parameter clamped to the segment's upper end takes the end value.
-        lo = top.astype(float)
+        lo = top_k.astype(float)
         hi = lo + 1.0
-        rows = np.take(self._rows, top, axis=2)
-        ends = np.take(self._ends, top, axis=2)
-        pt = p.T[:, :, None]
+        rows = np.take(self._rows, top_k, axis=2)
+        ends = np.take(self._ends, top_k, axis=2)
+        pt = p.T[:, None, :]
 
         def curve(t):
             out = _curve(rows, t - lo, 3)
@@ -234,7 +235,7 @@ class ArchLine:
             return out
 
         # A NaN step counts as moving. A stopped query's steps are still
-        # computed, not taken: gathering the live rows costs more than
+        # computed, not taken: gathering the live queries costs more than
         # the third, and usually last, step would save.
         live = np.ones(p.shape[0], dtype=bool)
         for _ in range(NEWTON_ITERS):
@@ -244,18 +245,18 @@ class ArchLine:
             gp = -(d1 * d1).sum(axis=0) + (r * dd).sum(axis=0)
             step = g / np.where(np.abs(gp) > 1e-30, gp, -1e-30)
             nxt = np.minimum(np.maximum(t - step, lo), hi)
-            settled = (np.abs(nxt - t) < 1e-7).all(axis=1)
-            t = nxt if live.all() else np.where(live[:, None], nxt, t)
+            settled = (np.abs(nxt - t) < 1e-7).all(axis=0)
+            t = nxt if live.all() else np.where(live, nxt, t)
             live &= ~settled
             if not live.any():
                 break
 
         c = curve(t)[0]
         dist2 = ((pt - c) ** 2).sum(axis=0)
-        pick = dist2.argmin(axis=1)
+        pick = dist2.argmin(axis=0)
         idx = np.arange(p.shape[0])
-        feet = np.ascontiguousarray(c[:, idx, pick].T)
-        return t[idx, pick], feet, np.sqrt(dist2[idx, pick])
+        feet = np.ascontiguousarray(c[:, pick, idx].T)
+        return t[pick, idx], feet, np.sqrt(dist2[pick, idx])
 
     # ------------------------------------------------------ signed distance
 

@@ -109,7 +109,9 @@ def _separation_step(a: AabbTree, b: AabbTree, radius: float) -> float | None:
     return radius - d_min + 1e-3
 
 
-def detect_collisions(jaw: Jaw, trees: dict[int, AabbTree] | None = None) -> list[tuple[int, int, float]]:
+def detect_collisions(
+    jaw: Jaw, trees: dict[int, AabbTree] | None = None
+) -> list[tuple[int, int, float]]:
     """All interlocking present-tooth pairs ``(id_a, id_b, step)``, in
     ascending id order; each step is a positive slide that clears the
     overlap. A pair whose grown bounding boxes are apart cannot
@@ -134,7 +136,9 @@ def detect_collisions(jaw: Jaw, trees: dict[int, AabbTree] | None = None) -> lis
 
 # ------------------------------------------------------------- constraints
 
-def adjacent_gaps(jaw: Jaw, trees: dict[int, AabbTree] | None = None) -> list[tuple[int, int, float]]:
+def adjacent_gaps(
+    jaw: Jaw, trees: dict[int, AabbTree] | None = None
+) -> list[tuple[int, int, float]]:
     """Nearest point-pair distance between adjacent present teeth;
     adjacency means consecutive present ids (absences skipped).
     ``trees`` is as in detect_collisions."""

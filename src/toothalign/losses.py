@@ -392,74 +392,3 @@ def total_loss(
         total=total,
         gradients={"recon": g_recon, "val": g_val},
     )
-
-
-# ------------------------------------------------------- gradient checks
-
-def grad_check(loss_fn, theta: np.ndarray, h: float = 1e-5) -> float:
-    """Max relative disagreement between ``loss_fn``'s analytic gradient
-    and central finite differences at ``theta``.
-
-    ``loss_fn(theta) -> (value, gradient)``. The relative error is the
-    largest per-component difference divided by the larger of 1 and the
-    finite-difference gradient's magnitude.
-    """
-    theta = np.asarray(theta, dtype=float)
-    _, analytic = loss_fn(theta)
-    analytic = np.asarray(analytic, dtype=float)
-    fd = np.empty_like(theta)
-    for i in range(theta.size):
-        t_hi = theta.copy()
-        t_lo = theta.copy()
-        t_hi[i] += h
-        t_lo[i] -= h
-        fd[i] = (loss_fn(t_hi)[0] - loss_fn(t_lo)[0]) / (2.0 * h)
-    scale = max(1.0, float(np.abs(fd).max()))
-    return float(np.abs(analytic - fd).max()) / scale
-
-
-def recon_theta_fn(case: Case, pivots: dict[int, np.ndarray]):
-    """Wrap the reconstruction loss as a function of one flat parameter
-    vector (7 per moved tooth, in ascending id order) for grad checks."""
-    teeth = _moved_teeth(case)
-
-    def fn(theta: np.ndarray):
-        value = 0.0
-        grad = np.empty_like(theta)
-        for i, tooth in enumerate(teeth):
-            part = theta[7 * i : 7 * i + 7]
-            v, g = _recon_tooth(
-                tooth.points, tooth.gt_points, part[:4], part[4:], pivots[tooth.id]
-            )
-            value += v
-            grad[7 * i : 7 * i + 7] = g
-        return value, grad
-
-    return fn, 7 * len(teeth)
-
-
-def val_theta_fn(
-    gt_transforms: dict[int, RigidTransform],
-    weights: LossWeights | None = None,
-    zeta: dict[int, tuple[float, float]] | None = None,
-):
-    """Wrap l_val as a function of the flat predicted parameter vector."""
-    w = weights or LossWeights()
-    ids = sorted(gt_transforms)
-
-    def fn(theta: np.ndarray):
-        value = 0.0
-        grad = np.empty_like(theta)
-        for i, tid in enumerate(ids):
-            part = theta[7 * i : 7 * i + 7]
-            tg = gt_transforms[tid]
-            zr, zt = (1.0, 1.0) if zeta is None else zeta[tid]
-            dq = part[:4] - tg.rotation
-            dt = part[4:] - tg.translation
-            value += w.omega * float(np.abs(dq).sum()) * (1.0 + zr)
-            value += float(np.abs(dt).sum()) * (1.0 + zt)
-            grad[7 * i : 7 * i + 4] = w.omega * np.sign(dq) * (1.0 + zr)
-            grad[7 * i + 4 : 7 * i + 7] = np.sign(dt) * (1.0 + zt)
-        return value, grad
-
-    return fn, 7 * len(ids)

@@ -22,10 +22,13 @@ attention or MLP on them, so an invalid cell leaves every block
 unchanged. With zero biases an all-zero row therefore stays exactly
 zero through the whole network.
 
-Skipping work never moves a bit. Attention computes only live query
-rows, gathered in whole 8-row GEMM blocks, against keys and values of
-the full window; window_attention says why the blocks are 8 rows. The
-tests hold every shortcut to a plain full-grid oracle, bit for bit.
+Skipping work never moves a bit. Attention works on whole aligned
+blocks of 8 tokens and drops every block that holds no live query and
+no allowed key. An absent tooth is one grid row, so it is one such
+block in every 2D window, and attention neither projects, scores nor
+sums it, as query or as key; window_attention says why dropping whole
+blocks is exact. The tests hold every shortcut to a plain full-grid
+oracle, bit for bit.
 """
 
 from __future__ import annotations
@@ -51,14 +54,23 @@ WINDOW = 8
 SHIFT = 4
 SWTP_STAGES = 4
 NORM_EPS = 1e-5  # added to the layer-norm variance
-# query rows per attention batch; see window_attention
+# tokens per attention block, and the longest window whose key blocks
+# may be dropped; see window_attention
 _ROW_BLOCK = 8
+_PAIRWISE_BLOCK = 128
 
 
 # ------------------------------------------------------------- primitives
 
 def _gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
+    # 0.5 * x * (1.0 + erf(x / sqrt(2))) in the same operation order,
+    # on two buffers instead of five
+    e = x / np.sqrt(2.0)
+    erf(e, out=e)
+    e += 1.0
+    y = 0.5 * x
+    y *= e
+    return y
 
 
 def layer_norm(x: np.ndarray, params: dict) -> np.ndarray:
@@ -152,21 +164,35 @@ def window_attention(windows: np.ndarray, weights: dict, allow: np.ndarray) -> n
     so its output is ``0 @ wo + bo``. Softmax rows over allowed keys
     sum to 1.
 
-    Only live query rows (with at least one allowed key) are computed.
-    Windows that compute the same rows are gathered into one batch; on
-    the tooth grid that is one batch per 8-row band. Keys and values
-    stay projected over every token, in window order, so each softmax
-    sum and ``probs @ v`` adds the same terms in the same order as a
-    full-window pass. The row subset is rounded up to a multiple of 8
-    with dead rows (at most the window length): under OpenBLAS a GEMM
-    on such a subset rounds each row exactly as the full product does,
-    while other subset sizes can take other kernels (a single row goes
-    to gemv) and move the last bits. A computed dead row still gives
-    ``0 @ wo + bo``.
+    Each window is cut into aligned blocks of 8 tokens (one block when
+    L is not a multiple of 8 or exceeds 128) and keeps each block that
+    holds a live query (one with an allowed key) or a key some query
+    allows, so every allowed pair lies among its kept tokens. Windows
+    that keep the same blocks form one batch, and Q, K and V are
+    projected from one gather of the kept tokens. On the tooth grid an
+    absent tooth is one whole block of every 2D window: its query rows
+    and its keys are both dropped. Dropping whole blocks moves no bit:
+
+    - Each row sum of the softmax loses only exact +0 terms, exp(-inf)
+      of the dropped keys. numpy sums a row of at most 128 with eight
+      accumulators, token i going to accumulator i mod 8, so an aligned
+      block takes one +0 from each accumulator and leaves every other
+      term where it was. In ``probs @ v`` the dropped keys are
+      exact-zero terms of the K-loop.
+    - Every GEMM runs on a multiple of 8 rows or on the whole window.
+      Under OpenBLAS such a row subset rounds each row exactly as the
+      full product does, while other sizes can take other kernels (a
+      single row goes to gemv) and move the last bits.
+    - A kept row with no allowed key gives ``0 @ wo + bo``, as do the
+      rows of dropped blocks.
 
     The mask enters as an additive 0/-inf bias on the scores, and the
     softmax runs in place on the one scores buffer: exp(-inf) is
-    already 0, so no second masking pass is needed.
+    already 0, so no second masking pass is needed. A batch whose kept
+    pairs are all allowed (every unshifted window of the tooth grid,
+    and most shifted ones) skips the bias and the dead-row fix-ups:
+    adding the bias 0 changes a score only from -0 to +0, and exp maps
+    both to 1.
     """
     c = windows.shape[-1]
     if c % HEADS:
@@ -177,44 +203,59 @@ def window_attention(windows: np.ndarray, weights: dict, allow: np.ndarray) -> n
         # (windows, heads, rows, dh) views make both contractions batched BLAS matmuls.
         return x.reshape(x.shape[0], x.shape[1], HEADS, dh).transpose(0, 2, 1, 3)
 
-    def attend(x, k, v, allow):
+    def attend(x, allow):
+        # Separate Q, K and V projections, not one (C, 3C) GEMM: the
+        # fused product is no faster here and OpenBLAS rounds it
+        # differently at some widths.
         q = heads_first(x @ weights["wq"] + weights["bq"])
+        k = heads_first(x @ weights["wk"] + weights["bk"])
+        v = heads_first(x @ weights["wv"] + weights["bv"])
         scores = q @ k.transpose(0, 1, 3, 2)
         scores /= np.sqrt(dh)
-        scores += np.where(allow, 0.0, -np.inf)[:, None, :, :]
-        top = scores.max(axis=-1, keepdims=True)
-        # a query with no allowed key has top -inf; 0 keeps its exps 0, not NaN
-        top[~np.isfinite(top)] = 0.0
-        scores -= top
-        np.exp(scores, out=scores)
-        denom = scores.sum(axis=-1, keepdims=True)
-        denom[denom == 0.0] = 1.0
-        scores /= denom
+        if allow is None:
+            # every pair allowed: no -inf, every top finite, every denom >= 1
+            scores -= scores.max(axis=-1, keepdims=True)
+            np.exp(scores, out=scores)
+            scores /= scores.sum(axis=-1, keepdims=True)
+        else:
+            scores += np.where(allow, 0.0, -np.inf)[:, None, :, :]
+            top = scores.max(axis=-1, keepdims=True)
+            # a query with no allowed key has top -inf; 0 keeps its exps 0, not NaN
+            top[~np.isfinite(top)] = 0.0
+            scores -= top
+            np.exp(scores, out=scores)
+            denom = scores.sum(axis=-1, keepdims=True)
+            denom[denom == 0.0] = 1.0
+            scores /= denom
         out = (scores @ v).transpose(0, 2, 1, 3).reshape(x.shape)
         return out @ weights["wo"] + weights["bo"]
 
-    # Separate Q, K and V projections, not one (C, 3C) GEMM: the fused
-    # product is no faster here and OpenBLAS rounds it differently at
-    # some widths.
-    k = heads_first(windows @ weights["wk"] + weights["bk"])
-    v = heads_first(windows @ weights["wv"] + weights["bv"])
-    # each window computes its live rows, topped up with its first dead
-    # rows to a multiple of _ROW_BLOCK (at most the window length)
-    live = allow.any(axis=-1)
-    n_live = live.sum(axis=1)
-    top_up = np.minimum(-(-n_live // _ROW_BLOCK) * _ROW_BLOCK, live.shape[1]) - n_live
-    rows = live | (np.cumsum(~live, axis=1) <= top_up[:, None])
+    nwin, length = allow.shape[:2]
+    block = _ROW_BLOCK if length % _ROW_BLOCK == 0 and length <= _PAIRWISE_BLOCK else length
+    # a window keeps each block holding a live query (one with an
+    # allowed key) or a key some query allows, and computes and attends
+    # over its kept tokens only; every allowed pair lies inside them
+    used = allow.any(axis=-1) | allow.any(axis=1)
+    kept_blocks = used.reshape(nwin, -1, block).any(axis=-1)
+    kept = np.repeat(kept_blocks, block, axis=1)
+    # no dead row and no disallowed pair among the kept tokens
+    full = np.count_nonzero(allow, axis=(1, 2)) == np.count_nonzero(kept, axis=1) ** 2
     # rows no batch computes get the dead-row output, from an 8-row GEMM
     out = np.empty_like(windows)
     out[...] = (np.zeros((_ROW_BLOCK, c)) @ weights["wo"] + weights["bo"])[0]
     _, first, group = np.unique(
-        np.packbits(rows, axis=1), axis=0, return_index=True, return_inverse=True
+        np.packbits(np.column_stack([kept_blocks, full]), axis=1),
+        axis=0,
+        return_index=True,
+        return_inverse=True,
     )
     for p, w0 in enumerate(first):
-        if rows[w0].any():
+        if kept_blocks[w0].any():
             wins = np.flatnonzero(group == p)
-            sub = np.ix_(wins, np.flatnonzero(rows[w0]))
-            out[sub] = attend(windows[sub], k[wins], v[wins], allow[sub])
+            tokens = np.flatnonzero(kept[w0])
+            sub = np.ix_(wins, tokens)
+            mask = None if full[w0] else allow[np.ix_(wins, tokens, tokens)]
+            out[sub] = attend(windows[sub], mask)
     return out
 
 

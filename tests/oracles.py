@@ -2,10 +2,12 @@
 
 Everything here is deliberately written the slow, obvious way (explicit
 loops, dense sampling, scipy KD-trees) and shares no code with the
-package internals beyond numpy itself. The network oracles are the one
-exception: they reuse the package's window layout, masks and GELU, and
-keep the plain two-pass norm and full-grid masked path that the
-package's norm, attention and block must reproduce bit for bit.
+package internals beyond numpy itself, with two exceptions. The
+gradient checks wrap the package's per-tooth reconstruction term, whose
+analytic gradient they test against finite differences. The network
+oracles reuse the package's window layout, masks and GELU, and keep the
+plain two-pass norm and full-grid masked path that the package's norm,
+attention and block must reproduce bit for bit.
 """
 
 import copy
@@ -13,6 +15,8 @@ import copy
 import numpy as np
 from scipy.spatial import cKDTree
 
+from toothalign.config import LossWeights
+from toothalign.losses import _recon_tooth
 from toothalign.swin import (
     HEADS,
     SHIFT,
@@ -103,6 +107,67 @@ def central_difference(fn, theta, h=1e-5):
         dn[i] -= h
         g[i] = (fn(up) - fn(dn)) / (2.0 * h)
     return g
+
+
+# ------------------------------------------------------- gradient checks
+
+def grad_check(loss_fn, theta, h=1e-5) -> float:
+    """Max relative disagreement between ``loss_fn``'s analytic gradient
+    and central finite differences at ``theta``.
+
+    ``loss_fn(theta) -> (value, gradient)``. The relative error is the
+    largest per-component difference divided by the larger of 1 and the
+    finite-difference gradient's magnitude.
+    """
+    theta = np.asarray(theta, dtype=float)
+    analytic = np.asarray(loss_fn(theta)[1], dtype=float)
+    fd = central_difference(lambda t: loss_fn(t)[0], theta, h)
+    scale = max(1.0, float(np.abs(fd).max()))
+    return float(np.abs(analytic - fd).max()) / scale
+
+
+def recon_theta_fn(case, pivots):
+    """The reconstruction loss of a case's moved teeth as a function of
+    one flat parameter vector (7 per moved tooth, in ascending id
+    order)."""
+    teeth = sorted((t for t in case.all_teeth() if t.present and t.moved), key=lambda t: t.id)
+
+    def fn(theta):
+        value = 0.0
+        grad = np.empty_like(theta)
+        for i, tooth in enumerate(teeth):
+            part = theta[7 * i : 7 * i + 7]
+            v, g = _recon_tooth(
+                tooth.points, tooth.gt_points, part[:4], part[4:], pivots[tooth.id]
+            )
+            value += v
+            grad[7 * i : 7 * i + 7] = g
+        return value, grad
+
+    return fn, 7 * len(teeth)
+
+
+def val_theta_fn(gt_transforms, weights=None, zeta=None):
+    """l_val as a function of the flat predicted parameter vector."""
+    w = weights or LossWeights()
+    ids = sorted(gt_transforms)
+
+    def fn(theta):
+        value = 0.0
+        grad = np.empty_like(theta)
+        for i, tid in enumerate(ids):
+            part = theta[7 * i : 7 * i + 7]
+            tg = gt_transforms[tid]
+            zr, zt = (1.0, 1.0) if zeta is None else zeta[tid]
+            dq = part[:4] - tg.rotation
+            dt = part[4:] - tg.translation
+            value += w.omega * float(np.abs(dq).sum()) * (1.0 + zr)
+            value += float(np.abs(dt).sum()) * (1.0 + zt)
+            grad[7 * i : 7 * i + 4] = w.omega * np.sign(dq) * (1.0 + zr)
+            grad[7 * i + 4 : 7 * i + 7] = np.sign(dt) * (1.0 + zt)
+        return value, grad
+
+    return fn, 7 * len(ids)
 
 
 def maxwell_mean(sigma):

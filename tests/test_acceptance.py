@@ -32,11 +32,8 @@ from toothalign.geometry import (
     rotation_angle_between,
 )
 from toothalign.losses import (
-    grad_check,
     occlusal_overlap_mask,
-    recon_theta_fn,
     total_loss,
-    val_theta_fn,
 )
 from toothalign.metrics import auc
 from toothalign.swin import (
@@ -58,6 +55,9 @@ from oracles import (
     brute_min_distance,
     brute_xy_mask,
     dense_curve_distance,
+    grad_check,
+    recon_theta_fn,
+    val_theta_fn,
     zero_biases,
 )
 

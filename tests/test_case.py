@@ -4,11 +4,13 @@ import sys
 import tempfile
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import toothalign
 from toothalign.arch import fit_case_arches, serialize_points
 from toothalign.case import (
     ANTERIOR_IDS,
@@ -43,6 +45,7 @@ from toothalign.errors import (
     WrongPointCount,
 )
 from toothalign.geometry import RigidTransform, quat_from_axis_angle
+from toothalign.synthetic import SynthParams, generate_synthetic_case
 
 from conftest import gt_view
 from oracles import same_bits
@@ -240,6 +243,93 @@ def test_absent_tooth_carries_no_points(clouds, loads):
     else:
         with pytest.raises(SchemaViolation):
             case_from_dict(doc, expected_points=4)
+
+
+# ------------------------------------------------- schema and loader parity
+
+CASE_SCHEMA = json.loads(
+    (Path(toothalign.__file__).parent / "schemas" / "case.schema.json").read_text()
+)
+
+# The rules only the loader checks, each with why JSON Schema cannot say
+# it. One more is not a row here: gt_points must hold as many points as
+# points, and JSON Schema cannot compare the lengths of two fields.
+CODE_ONLY = {
+    "duplicate tooth id": "JSON Schema cannot compare the items of an array",
+    "present tooth with 10 points": "the point count is an argument of the loader",
+    "tooth id written as 5.0": "JSON Schema counts 5.0 as an integer",
+}
+
+
+def _set(path, value):
+    def mutate(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+
+    return mutate
+
+
+def _absent_upper_tooth(**clouds):
+    return lambda doc: doc["upper"].append({"id": 1, "present": False, **clouds})
+
+
+# name -> (mutation of a generated 8-tooth case, the loader's error or None)
+MUTATIONS = {
+    "unchanged": (lambda doc: None, None),
+    "absent tooth with null points": (_absent_upper_tooth(points=None), None),
+    "absent tooth with null gt_points": (_absent_upper_tooth(gt_points=None), None),
+    "absent tooth with points": (_absent_upper_tooth(points=[[0.0, 0.0, 0.0]]), SchemaViolation),
+    "present omitted": (lambda doc: doc["upper"][0].pop("present"), None),
+    "moved omitted": (lambda doc: doc["upper"][0].pop("moved"), None),
+    "proxy_radius omitted": (lambda doc: doc["upper"][0].pop("proxy_radius"), None),
+    "present tooth without points": (lambda doc: doc["upper"][0].pop("points"), SchemaViolation),
+    "present tooth with null gt_points": (_set(("upper", 0, "gt_points"), None), None),
+    "present tooth with 10 points": (
+        lambda doc: doc["upper"][0].update(points=doc["upper"][0]["points"][:10]),
+        WrongPointCount,
+    ),
+    "duplicate tooth id": (lambda doc: doc["upper"].append(doc["upper"][0]), DuplicateTooth),
+    "lower-jaw id (20) in upper": (_set(("upper", 0, "id"), 20), SchemaViolation),
+    "upper-jaw id (5) in lower": (_set(("lower", 0, "id"), 5), SchemaViolation),
+    "tooth id written as 5.0": (_set(("upper", 0, "id"), 5.0), SchemaViolation),
+    "coordinate 1e400 (inf after parsing)": (
+        _set(("upper", 0, "points", 0, 0), json.loads("1e400")),
+        SchemaViolation,
+    ),
+    "proxy_radius 1e400": (_set(("upper", 0, "proxy_radius"), json.loads("1e400")), SchemaViolation),
+    "every upper tooth absent": (
+        lambda doc: doc.update(upper=[{"id": 3, "present": False}]),
+        SchemaViolation,
+    ),
+}
+
+
+_PARITY_POINTS = 16  # points kept per cloud: the schema check is slow on 512
+
+
+@pytest.fixture(scope="module")
+def case_doc():
+    doc = case_to_dict(generate_synthetic_case(SynthParams(teeth_per_jaw=8), seed=0))
+    for tooth in doc["upper"] + doc["lower"]:
+        tooth["points"] = tooth["points"][:_PARITY_POINTS]
+        tooth["gt_points"] = tooth["gt_points"][:_PARITY_POINTS]
+    return doc
+
+
+@pytest.mark.parametrize("name", list(MUTATIONS))
+def test_schema_and_loader_agree(case_doc, name):
+    mutate, error = MUTATIONS[name]
+    doc = copy.deepcopy(case_doc)
+    mutate(doc)
+    if error is None:
+        case_from_dict(doc, _PARITY_POINTS)
+    else:
+        with pytest.raises(error):
+            case_from_dict(doc, _PARITY_POINTS)
+    schema_accepts = jsonschema.Draft202012Validator(CASE_SCHEMA).is_valid(doc)
+    assert schema_accepts == (error is None or name in CODE_ONLY)
 
 
 # ---------------------------------------------------------- point orderings

@@ -2,8 +2,9 @@
 
 ``import toothalign.cli`` and the subcommands that need no scipy
 (``--help``, sample, serialize, arch export, eval) load no scipy module
-at all, and no subcommand loads ``scipy.interpolate``: the arch line is
-evaluated in numpy. Every command runs in a fresh
+at all, no subcommand loads ``scipy.interpolate`` (the arch line is
+evaluated in numpy), and forward and iterate, which run the network and
+no proximity query, load neither ``scipy.spatial`` nor ``scipy.sparse``. Every command runs in a fresh
 ``python -X importtime`` process, whose import log on stderr names
 each module the run loaded, lazy imports included.
 """
@@ -88,3 +89,10 @@ def test_no_subcommand_loads_scipy_interpolate(name, work):
     modules = _imported(["-m", "toothalign", *NO_INTERPOLATE[name]], work)
     assert "toothalign.cli" in modules
     assert not [m for m in modules if m.startswith("scipy.interpolate")]
+
+
+@pytest.mark.parametrize("name", ["forward", "iterate"])
+def test_network_subcommands_load_no_spatial_or_sparse(name, work):
+    modules = _imported(["-m", "toothalign", *NO_INTERPOLATE[name]], work)
+    assert "toothalign.swin" in modules
+    assert not [m for m in modules if m.startswith(("scipy.spatial", "scipy.sparse"))]

@@ -8,23 +8,20 @@ from toothalign.losses import (
     LossWeights,
     anterior_uniformity_parts,
     enhancement_weights,
-    grad_check,
     occlusal_overlap_mask,
     opposing_region,
     overlap_consistency_loss,
     posterior_uniformity_loss,
     recon_loss,
     recon_loss_from_transforms,
-    recon_theta_fn,
     rot_trans_loss,
     total_loss,
-    val_theta_fn,
 )
 from toothalign.metrics import residual_transforms
 from toothalign.synthetic import generate_synthetic_case
 
 from conftest import gt_view
-from oracles import brute_xy_mask
+from oracles import brute_xy_mask, grad_check, recon_theta_fn, val_theta_fn
 
 
 def _tooth(tid, pts, moved=True, gt=None):

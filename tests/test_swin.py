@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erf
 
 from toothalign import swin
 from toothalign.case import build_tooth_point_image, tooth_centers
@@ -117,6 +118,13 @@ def test_layer_norm_equals_two_pass_bit_for_bit(seed, lead, c, loc, scale):
     assert same_bits(x, before)
 
 
+def test_gelu_equals_the_formula_bit_for_bit(rng):
+    x = np.concatenate([rng.normal(0.0, 3.0, size=4096), [0.0, -0.0, 1e-300, -40.0, 40.0]])
+    before = x.copy()
+    assert same_bits(_gelu(x), 0.5 * x * (1.0 + erf(x / np.sqrt(2.0))))
+    assert same_bits(x, before)
+
+
 def test_gelu_frozen_values():
     assert _gelu(np.array([0.0]))[0] == 0.0
     assert _gelu(np.array([1.0]))[0] == pytest.approx(0.8413447460685429, abs=1e-15)
@@ -199,8 +207,11 @@ def test_attention_orphan_query_is_zero(rng):
     assert np.allclose(out[0, 0], 1.0, atol=1e-9)
 
 
-# the last two leave whole query rows dead, or whole key columns, so
-# the live-row batches of window_attention take every size
+# dead_query_rows and dead_key_columns leave whole query rows dead, or
+# whole key columns, so the batches of window_attention take every
+# size; dead_key_blocks kills whole aligned 8-token blocks as keys and
+# as queries in every window, as an absent tooth does, so batches drop
+# key blocks, and its first window allows every other pair
 MASKS = [
     "random",
     "window_all_false",
@@ -208,6 +219,7 @@ MASKS = [
     "all_true",
     "dead_query_rows",
     "dead_key_columns",
+    "dead_key_blocks",
 ]
 
 
@@ -238,6 +250,11 @@ def test_attention_equals_masked_oracle_bit_for_bit(seed, nwin, length, dh, scal
         allow[rng.random((nwin, length)) < 0.5] = False
     elif mask == "dead_key_columns":
         allow[:, :, rng.random(length) < 0.5] = False
+    elif mask == "dead_key_blocks":
+        allow[0] = True
+        dead = np.repeat(rng.random(-(-length // 8)) < 0.5, 8)[:length]
+        allow[:, dead] = False
+        allow[:, :, dead] = False
     got = window_attention(windows, w, allow)
     assert same_bits(got, masked_window_attention(windows, w, allow))
 
@@ -300,6 +317,20 @@ def test_block_invalid_cells_pass_through(biased_weights, rng, shape, shifted):
     assert same_bits(
         swin_block(x, block, shifted, every), full_grid_swin_block(x, block, shifted, every)
     )
+
+
+@pytest.mark.parametrize("shifted", [False, True])
+def test_block_with_absent_rows_equals_full_grid_block(biased_weights, rng, shifted):
+    # absent tooth rows in every 8-row band: attention drops their key
+    # blocks, and whole windows run without the mask
+    x = rng.normal(size=(32, 64, CHANNELS))
+    present = np.ones(32, dtype=bool)
+    present[[0, 5, 6, 9, 17, 18, 19, 20, 27, 31]] = False
+    x[~present] = 0.0
+    valid = np.broadcast_to(present[:, None], x.shape[:2])
+    block = biased_weights["swtp"][1]["blk_a"]
+    got = swin_block(x, block, shifted, valid)
+    assert same_bits(got, full_grid_swin_block(x, block, shifted, valid))
 
 
 def test_column_merge_halves_and_keeps_rows_apart(weights, rng):

@@ -4,9 +4,10 @@
 (``--help``, sample, serialize, arch export, eval) load no scipy module
 at all, no subcommand loads ``scipy.interpolate`` (the arch line is
 evaluated in numpy), and forward and iterate, which run the network and
-no proximity query, load neither ``scipy.spatial`` nor ``scipy.sparse``. Every command runs in a fresh
-``python -X importtime`` process, whose import log on stderr names
-each module the run loaded, lazy imports included.
+no proximity query, load neither ``scipy.spatial`` nor
+``scipy.sparse``. Every command runs in a fresh ``python -X
+importtime`` process, whose import log on stderr names each module the
+run loaded, lazy imports included.
 """
 
 import os

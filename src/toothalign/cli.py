@@ -245,8 +245,10 @@ def _cmd_iterate(args) -> dict:
 
 # ----------------------------------------------------------------- parser
 
-def _common(sub):
-    sub.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")
+def _common(sub, seed: bool = True):
+    # only the options the subcommand reads: any other is a usage error
+    if seed:
+        sub.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")
     sub.add_argument("--config", default=None, help="JSON config file")
 
 
@@ -262,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen)
 
     p = subs.add_parser("sample", help="farthest-point downsample a dense case")
-    _common(p)
+    _common(p, seed=False)
     p.add_argument("--in", dest="infile", required=True, help="input case (any point count)")
     p.add_argument("-n", "--points", type=int, default=None, help=f"points per tooth (default {POINT_COUNT})")
     p.add_argument("-o", "--out", required=True, help="output case file")
@@ -278,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("arch", help="arch line tools")
     arch_subs = p.add_subparsers(dest="arch_command", required=True, parser_class=_Parser)
     pe = arch_subs.add_parser("export", help="export fitted arches as polylines")
-    _common(pe)
     pe.add_argument("--in", dest="infile", required=True)
     pe.add_argument("-o", "--out", default=None, help="also write the payload here")
     pe.set_defaults(func=_cmd_arch_export)
@@ -291,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_augment)
 
     p = subs.add_parser("loss", help="loss breakdown between two cases")
-    _common(p)
+    _common(p, seed=False)
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
     p.add_argument("--test-mode", action="store_true", help="pin enhancement factors to 1")
@@ -304,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_forward)
 
     p = subs.add_parser("eval", help="metric report over prediction/target directories")
-    _common(p)
     p.add_argument("--pred-dir", required=True)
     p.add_argument("--gt-dir", required=True)
     p.add_argument("--k", type=float, default=5.0, help="CDF integration bound, mm")

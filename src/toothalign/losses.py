@@ -236,16 +236,25 @@ def rot_trans_loss(
 
 # -------------------------------------------------------- occlusal masks
 
-def opposing_region(tooth: Tooth, opposing_jaw: Jaw, tau: float = 0.07) -> list[Tooth]:
+def _xy_boxes(teeth) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Each tooth's projected (xy) bounding box, by id."""
+    return {t.id: (t.points[:, :2].min(axis=0), t.points[:, :2].max(axis=0)) for t in teeth}
+
+
+def opposing_region(
+    tooth: Tooth, opposing_jaw: Jaw, tau: float = 0.07, boxes: dict | None = None
+) -> list[Tooth]:
     """Opposing-jaw teeth whose tau-dilated projected boxes meet the
     tooth's projected box. Never misses a tooth holding a point within
-    tau of the tooth's projection."""
-    a = tooth.points[:, :2]
-    a_lo, a_hi = a.min(axis=0), a.max(axis=0)
+    tau of the tooth's projection. ``boxes`` holds the projected boxes
+    of the case's teeth when the caller has them (see _xy_boxes)."""
+    teeth = opposing_jaw.present_teeth()
+    if boxes is None:
+        boxes = _xy_boxes([tooth, *teeth])
+    a_lo, a_hi = boxes[tooth.id]
     region = []
-    for other in opposing_jaw.present_teeth():
-        b = other.points[:, :2]
-        b_lo, b_hi = b.min(axis=0), b.max(axis=0)
+    for other in teeth:
+        b_lo, b_hi = boxes[other.id]
         if np.all(a_lo - tau <= b_hi + tau) and np.all(b_lo - tau <= a_hi + tau):
             region.append(other)
     return region
@@ -257,34 +266,63 @@ def region_points(region: list[Tooth]) -> np.ndarray:
     return np.concatenate([t.points for t in region])
 
 
-def occlusal_overlap_mask(tooth: Tooth, region: list[Tooth], tau: float = 0.07) -> np.ndarray:
+def occlusal_overlap_mask(
+    tooth: Tooth, region: list[Tooth], tau: float = 0.07, contacts: dict | None = None
+) -> np.ndarray:
     """Binary flags: a tooth point is set iff its projected distance to
-    the opposing region is strictly below tau. Empty region: all zero."""
+    the opposing region is strictly below tau. Empty region: all zero.
+
+    For a nonempty region, a ``contacts`` dict also receives, under the
+    tooth's id, ``(flags, region points, region flags)``: the region
+    flags mark the region points within tau of the tooth's projection.
+    """
     if not region:
         return np.zeros(tooth.points.shape[0], dtype=bool)
     b = region_points(region)
-    return interlock_masks(AabbTree(tooth.points[:, :2]), AabbTree(b[:, :2]), tau)[0]
+    mask_t, mask_b, _ = interlock_masks(AabbTree(tooth.points[:, :2]), AabbTree(b[:, :2]), tau)
+    if contacts is not None:
+        contacts[tooth.id] = (mask_t, b, mask_b)
+    return mask_t
 
 
-def overlap_consistency_loss(pred_case: Case, gt_case: Case, tau: float = 0.07) -> float:
+def occlusal_contacts(case: Case, tau: float = 0.07) -> dict[int, tuple]:
+    """The contacts (see occlusal_overlap_mask) of every moved tooth of
+    the case whose opposing region is nonempty, from one projected box
+    per tooth. overlap_consistency_loss and posterior_uniformity_loss
+    share them."""
+    boxes = _xy_boxes(case.present_teeth())
+    contacts: dict[int, tuple] = {}
+    for tooth in _moved_teeth(case):
+        region = opposing_region(tooth, case.opposing_jaw(jaw_of_id(tooth.id)), tau, boxes)
+        occlusal_overlap_mask(tooth, region, tau, contacts)
+    return contacts
+
+
+def overlap_consistency_loss(
+    pred_case: Case, gt_case: Case, tau: float = 0.07, pred_contacts: dict | None = None
+) -> float:
     """Average Hamming distance between predicted and target overlap
     masks, over moved teeth whose opposing region is nonempty in either
-    case; 0.0 when no tooth qualifies."""
+    case; 0.0 when no tooth qualifies. ``pred_contacts`` are the
+    prediction's occlusal_contacts when the caller has them."""
+    pairs = _paired_moved(pred_case, gt_case)
+    if pred_contacts is None:
+        pred_contacts = occlusal_contacts(pred_case, tau)
+    gt_contacts = occlusal_contacts(gt_case, tau)
     hams = []
-    for a, b in _paired_moved(pred_case, gt_case):
-        region_a = opposing_region(a, pred_case.opposing_jaw(jaw_of_id(a.id)), tau)
-        region_b = opposing_region(b, gt_case.opposing_jaw(jaw_of_id(b.id)), tau)
-        if not region_a and not region_b:
+    for a, b in pairs:
+        if a.id not in pred_contacts and b.id not in gt_contacts:
             continue
-        mask_a = occlusal_overlap_mask(a, region_a, tau)
-        mask_b = occlusal_overlap_mask(b, region_b, tau)
+        none = (np.zeros(a.points.shape[0], dtype=bool),)
+        mask_a = pred_contacts.get(a.id, none)[0]
+        mask_b = gt_contacts.get(b.id, none)[0]
         hams.append(float(np.count_nonzero(mask_a != mask_b)))
     return float(np.mean(hams)) if hams else 0.0
 
 
 # ------------------------------------------------------ uniformity losses
 
-def posterior_uniformity_loss(pred_case: Case, tau: float = 0.07) -> float:
+def posterior_uniformity_loss(pred_case: Case, tau: float = 0.07, contacts: dict | None = None) -> float:
     """Sum over posterior teeth of the population variance of in-mask
     occlusal contact distances.
 
@@ -294,19 +332,16 @@ def posterior_uniformity_loss(pred_case: Case, tau: float = 0.07) -> float:
     3D distance into the flagged region points. Teeth with fewer than
     two flagged points contribute 0. This term regularizes the
     prediction itself: it vanishes at ground truth only when the target
-    contacts are themselves uniform or degenerate.
+    contacts are themselves uniform or degenerate. ``contacts`` are the
+    case's occlusal_contacts when the caller has them.
     """
+    if contacts is None:
+        contacts = occlusal_contacts(pred_case, tau)
     value = 0.0
     for tooth in _moved_teeth(pred_case):
-        if tooth.id in ANTERIOR_IDS:
+        if tooth.id in ANTERIOR_IDS or tooth.id not in contacts:
             continue
-        region = opposing_region(tooth, pred_case.opposing_jaw(jaw_of_id(tooth.id)), tau)
-        if not region:
-            continue
-        b = region_points(region)
-        mask_t, mask_b, _ = interlock_masks(
-            AabbTree(tooth.points[:, :2]), AabbTree(b[:, :2]), tau
-        )
+        mask_t, b, mask_b = contacts[tooth.id]
         if np.count_nonzero(mask_t) < 2:
             continue
         d = nearest_distances(tooth.points[mask_t], AabbTree(b[mask_b]))
@@ -374,9 +409,10 @@ def total_loss(
     }
     zeta = None if test_mode else enhancement_weights(gt_t, w)
     l_rotate, l_trans, l_val, g_val = rot_trans_loss(pred_t, gt_t, w, zeta)
-    l_fit = overlap_consistency_loss(pred_case, gt_case, w.tau)
+    contacts = occlusal_contacts(pred_case, w.tau)
+    l_fit = overlap_consistency_loss(pred_case, gt_case, w.tau, contacts)
     ant, _, _ = anterior_uniformity_parts(pred_case, gt_case, w.omega_anterior)
-    pior = posterior_uniformity_loss(pred_case, w.tau)
+    pior = posterior_uniformity_loss(pred_case, w.tau, contacts)
     l_uni = ant + w.w_posterior * pior
     d0, d1, d2, d3 = w.delta
     total = d0 * l_recon + d1 * l_fit + d2 * l_uni + d3 * l_val

@@ -23,9 +23,11 @@ masked. The center and fusion branches take the masked path over all
 unchanged. With zero biases the rows of absent teeth therefore come
 out exactly zero.
 
-Skipping work never moves a bit: the tests hold the network to a
-plain full-grid oracle, bit for bit, and _grid_block says why its
-windows of present rows give the same bits as the full grid.
+A 2D block runs on one chunk of at most 8 windows per row at a time,
+so its temporaries stay small. Neither skipping work nor chunking
+moves a bit: the tests hold the network to a plain full-grid oracle,
+bit for bit, and _grid_block says why its chunks of present-row
+windows give the same bits as the full grid.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ WINDOW = 8
 SHIFT = 4
 SWTP_STAGES = 4
 NORM_EPS = 1e-5  # added to the layer-norm variance
+_CHUNK_COLS = 64  # columns of one pass of the 2D block: 8 windows per row
 
 
 # ------------------------------------------------------------- primitives
@@ -287,38 +290,44 @@ def _grid_block(grid: np.ndarray, weights: dict, shifted: bool, presence: np.nda
 
     Only the wrapped column window of a shifted block keeps the mask:
     its two column regions (4 columns each) share every 8-token block.
+
+    The whole block runs on one chunk at a time: a row group's windows
+    over at most _CHUNK_COLS columns, or its wrapped column window.
+    Norms and the MLP work cell by cell, windows never interact and a
+    chunk is whole windows, so no bit moves; only the temporaries shrink.
     """
     rows, w = grid.shape[:2]
     if presence.size % WINDOW or w % WINDOW:
         raise IndivisibleGrid(f"{presence.size}x{w} grid not divisible by window {WINDOW}")
     if rows != np.count_nonzero(presence):
         raise InvalidArgument(f"grid has {rows} rows for {np.count_nonzero(presence)} present slots")
-    h = layer_norm(grid, weights["ln1"])
-    att = np.empty_like(h)
+    out = np.empty_like(grid)
 
-    def attend(cells, allow=None):
-        # (groups, k, W', C) cells as W'/WINDOW * groups windows of
-        # k * WINDOW tokens, row-major over each window's k rows, and back
+    def block(cells, allow=None):
+        # the block on (groups, k, W', C) cells as W'/WINDOW * groups windows
+        # of k * WINDOW tokens, row-major over each window's k rows, and back
         g, k, cols, c = cells.shape
-        tiles = cells.reshape(g, k, cols // WINDOW, WINDOW, c).transpose(2, 0, 1, 3, 4)
-        out = window_attention(tiles.reshape(-1, k * WINDOW, c), weights["attn"], allow)
-        return out.reshape(tiles.shape).transpose(1, 2, 0, 3, 4).reshape(cells.shape)
+        h = layer_norm(cells, weights["ln1"])
+        tiles = h.reshape(g, k, cols // WINDOW, WINDOW, c).transpose(2, 0, 1, 3, 4)
+        att = window_attention(tiles.reshape(-1, k * WINDOW, c), weights["attn"], allow)
+        att = att.reshape(tiles.shape).transpose(1, 2, 0, 3, 4).reshape(cells.shape)
+        att += cells
+        return _mlp_residual(att, weights)
 
+    # rolled by SHIFT: the inner windows start SHIFT columns in, the
+    # last one joins the last SHIFT columns to the first SHIFT
+    inner = range(SHIFT, w - SHIFT) if shifted else range(w)
     for rows in _window_rows(presence, shifted):
-        if not shifted:
-            att[rows] = attend(h[rows])
-            continue
-        # rolled by SHIFT: the inner windows start SHIFT columns in,
-        # the last one joins the last SHIFT columns to the first SHIFT
-        inner = slice(SHIFT, w - SHIFT)
-        att[rows, inner] = attend(h[rows, inner])
-        cells = np.concatenate([h[rows, w - SHIFT :], h[rows, :SHIFT]], axis=2)
-        half = np.arange(cells.shape[1] * WINDOW) % WINDOW < SHIFT
-        wrapped = attend(cells, half[:, None] == half[None, :])
-        att[rows, w - SHIFT :] = wrapped[:, :, :SHIFT]
-        att[rows, :SHIFT] = wrapped[:, :, SHIFT:]
-    att += grid
-    return _mlp_residual(att, weights)
+        for start in inner[::_CHUNK_COLS]:
+            cols = slice(start, min(start + _CHUNK_COLS, inner.stop))
+            out[rows, cols] = block(grid[rows, cols])
+        if shifted:
+            cells = np.concatenate([grid[rows, w - SHIFT :], grid[rows, :SHIFT]], axis=2)
+            half = np.arange(cells.shape[1] * WINDOW) % WINDOW < SHIFT
+            wrapped = block(cells, half[:, None] == half[None, :])
+            out[rows, w - SHIFT :] = wrapped[:, :, :SHIFT]
+            out[rows, :SHIFT] = wrapped[:, :, SHIFT:]
+    return out
 
 
 def swin_block(grid: np.ndarray, weights: dict, shifted: bool, presence: np.ndarray) -> np.ndarray:

@@ -455,7 +455,9 @@ def test_malformed_document_exits_1_with_one_log_line(
     want = "SchemaViolation: " if where == "case" else "ConfigError: "
     for name, template in readers.items():
         fill = {"case": str(cases / "case.json"), "cases": str(cases), "out": str(tmp_path / "out")}
-        argv = [a.format(**fill) for a in template] + ["--config", str(tmp_path / "config.json")]
+        argv = [a.format(**fill) for a in template]
+        if name in CONFIG_READERS:
+            argv += ["--config", str(tmp_path / "config.json")]
         caplog.clear()
         code = main(argv)
         captured = capsys.readouterr()
@@ -466,6 +468,42 @@ def test_malformed_document_exits_1_with_one_log_line(
         assert len(records) == 1, name
         assert records[0].getMessage().startswith(want), name
     assert not (tmp_path / "out").exists()
+
+
+# the master-seed and config options each subcommand reads
+READS = {
+    "gen": ("--seed", "--config"),
+    "sample": ("--config",),
+    "serialize": ("--seed", "--config"),
+    "arch export": (),
+    "augment": ("--seed", "--config"),
+    "loss": ("--config",),
+    "forward": ("--seed", "--config"),
+    "eval": (),
+    "iterate": ("--seed", "--config"),
+}
+
+
+@pytest.mark.parametrize("name", list(READS))
+def test_subcommand_takes_only_the_options_it_reads(name, capsys, case_file, tmp_path):
+    # an option the subcommand would not read is a usage error, never
+    # silently ignored; the ones it reads run to completion
+    cases = tmp_path / "cases"
+    cases.mkdir()
+    (cases / "case.json").write_text(case_file.read_text())
+    config = tmp_path / "config.json"
+    config.write_text("{}")
+    fill = {"case": str(cases / "case.json"), "cases": str(cases), "out": str(tmp_path)}
+    argv = [a.format(**fill) for a in (CASE_READERS | CONFIG_READERS)[name]]
+    for option, value in (("--seed", "3"), ("--config", str(config))):
+        code = main(argv + [option, value])
+        captured = capsys.readouterr()
+        if option in READS[name]:
+            assert code == 0, (name, option)
+        else:
+            assert code == 1, (name, option)
+            assert captured.out == ""
+            assert f"unrecognized arguments: {option}" in captured.err
 
 
 @pytest.mark.parametrize("command", ["gen", "sample", "serialize", "arch export", "augment"])

@@ -322,6 +322,20 @@ def test_total_test_mode_pins_enhancement(small_corpus):
     assert test.l_trans == pytest.approx(want, rel=1e-12)
 
 
+def test_total_shares_occlusal_contacts_bit_for_bit(small_corpus):
+    # total_loss finds the prediction's opposing regions and masks once
+    # for the overlap and posterior terms; each term alone gives the
+    # same bits. The lower crowns are spread into occlusal contact.
+    case = small_corpus[3].copy()
+    for t in case.lower.present_teeth():
+        offset = 0.2 * np.array([*t.gt_points[:, :2].mean(axis=0), 0.0])
+        t.points, t.gt_points = t.points + offset, t.gt_points + offset
+    gt = gt_view(case)
+    bd = total_loss(case, gt)
+    assert bd.l_fit == overlap_consistency_loss(case, gt) > 0.0
+    assert bd.l_uni_pior == posterior_uniformity_loss(case) > 0.0
+
+
 def test_total_moved_set_mismatch_raises(small_corpus):
     pred = gt_view(small_corpus[2])
     gt = gt_view(small_corpus[2])

@@ -27,11 +27,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .case import Case, Jaw, Tooth, midline_offset
-from .errors import ArchOverrun, TooFewTeeth
+from .errors import ArchOverrun, CoincidentKnots, TooFewTeeth
 
 SAMPLES_PER_SEGMENT = 256  # arc-length table resolution
 PROJECTION_SEEDS = 64  # uniform Newton seeds per segment
 NEWTON_ITERS = 12
+MIN_KNOT_GAP_MM = 1e-6  # consecutive centroids closer than this give no arch direction
 
 
 def _hermite_rows(knots: np.ndarray, tangents: np.ndarray) -> np.ndarray:
@@ -328,6 +329,14 @@ def fit_arch_line(jaw: Jaw) -> ArchLine:
         raise TooFewTeeth(f"{jaw.side} jaw has {len(present)} present teeth; need 2")
     present = sorted(present, key=lambda t: t.id)
     centers = np.array([t.centroid() for t in present])
+    gaps = np.linalg.norm(np.diff(centers, axis=0), axis=1)
+    close = np.flatnonzero(gaps < MIN_KNOT_GAP_MM)
+    if close.size:
+        i = int(close[0])
+        raise CoincidentKnots(
+            f"{jaw.side} jaw: teeth {present[i].id} and {present[i + 1].id} have centroids "
+            f"{gaps[i]:.3g} mm apart; an arch line needs at least {MIN_KNOT_GAP_MM:g} mm"
+        )
     return ArchLine.from_centers(centers, tooth_ids=[t.id for t in present])
 
 

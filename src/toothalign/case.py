@@ -320,10 +320,6 @@ class ToothPointImage:
     data: np.ndarray  # (32, N, 3)
     presence: np.ndarray  # (32,) bool
 
-    @property
-    def n_points(self) -> int:
-        return self.data.shape[1]
-
 
 def build_tooth_point_image(
     case: Case, ordering: str = "arch_line", seed: int | None = None

@@ -83,6 +83,10 @@ class TooFewTeeth(ComputationError):
     """An arch line needs at least two present teeth."""
 
 
+class CoincidentKnots(ComputationError):
+    """Two consecutive arch knots (tooth centroids) coincide."""
+
+
 class ArchOverrun(ComputationError):
     """An arc-length shift left the domain of the arch curve."""
 

@@ -71,20 +71,6 @@ def quat_conjugate(q) -> np.ndarray:
     return np.array([q[0], -q[1], -q[2], -q[3]])
 
 
-def quat_multiply(a, b) -> np.ndarray:
-    """Hamilton product a * b (apply b first, then a, as rotations)."""
-    aw, ax, ay, az = np.asarray(a, dtype=float)
-    bw, bx, by, bz = np.asarray(b, dtype=float)
-    return np.array(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ]
-    )
-
-
 def quat_from_axis_angle(axis, angle: float) -> np.ndarray:
     """Unit quaternion for a rotation of ``angle`` radians about ``axis``.
 

@@ -144,25 +144,6 @@ def _recon_tooth(pre_pts, gt_pts, q, trans, pivot):
     return value, grad
 
 
-def recon_loss_from_transforms(
-    case: Case, transforms: dict[int, RigidTransform]
-) -> tuple[float, dict[int, np.ndarray]]:
-    """Reconstruction loss of ``transforms`` applied to ``case.points``
-    against ``case.gt_points``, with per-tooth gradients."""
-    value = 0.0
-    grads: dict[int, np.ndarray] = {}
-    for tooth in _moved_teeth(case):
-        if tooth.gt_points is None:
-            raise CorrespondenceMismatch(f"tooth {tooth.id} has no gt_points")
-        t = transforms.get(tooth.id)
-        if t is None:
-            raise CorrespondenceMismatch(f"no transform for moved tooth {tooth.id}")
-        v, g = _recon_tooth(tooth.points, tooth.gt_points, t.rotation, t.translation, t.pivot)
-        value += v
-        grads[tooth.id] = g
-    return value, grads
-
-
 def recon_loss(pred_case: Case, gt_case: Case) -> tuple[float, dict[int, np.ndarray]]:
     """Squared point-wise and centroid offsets between two assembled cases.
 

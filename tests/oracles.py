@@ -3,8 +3,9 @@
 Everything here is deliberately written the slow, obvious way (explicit
 loops, dense sampling, scipy KD-trees) and shares no code with the
 package internals beyond numpy itself, with two exceptions. The
-gradient checks wrap the package's per-tooth reconstruction term, whose
-analytic gradient they test against finite differences. The network
+gradient checks and ``recon_loss_from_transforms`` wrap the package's
+per-tooth reconstruction term, whose analytic gradient they test
+against finite differences. The network
 oracles reuse the package's window layout, masks and GELU, and keep the
 plain two-pass norm and full-grid masked path that the package's norm,
 attention and block must reproduce bit for bit.
@@ -16,7 +17,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from toothalign.config import LossWeights
-from toothalign.losses import _recon_tooth
+from toothalign.errors import CorrespondenceMismatch
+from toothalign.losses import _moved_teeth, _recon_tooth
 from toothalign.swin import (
     HEADS,
     SHIFT,
@@ -98,6 +100,20 @@ def dense_curve_distance(arch, queries, samples=200001):
     return d
 
 
+def quat_multiply(a, b) -> np.ndarray:
+    """Hamilton product a * b (apply b first, then a, as rotations)."""
+    aw, ax, ay, az = np.asarray(a, dtype=float)
+    bw, bx, by, bz = np.asarray(b, dtype=float)
+    return np.array(
+        [
+            aw * bw - ax * bx - ay * by - az * bz,
+            aw * bx + ax * bw + ay * bz - az * by,
+            aw * by - ax * bz + ay * bw + az * bx,
+            aw * bz + ax * by - ay * bx + az * bw,
+        ]
+    )
+
+
 def central_difference(fn, theta, h=1e-5):
     g = np.zeros_like(theta)
     for i in range(theta.size):
@@ -145,6 +161,23 @@ def recon_theta_fn(case, pivots):
         return value, grad
 
     return fn, 7 * len(teeth)
+
+
+def recon_loss_from_transforms(case, transforms):
+    """Reconstruction loss of ``transforms`` applied to ``case.points``
+    against ``case.gt_points``, with per-tooth gradients."""
+    value = 0.0
+    grads = {}
+    for tooth in _moved_teeth(case):
+        if tooth.gt_points is None:
+            raise CorrespondenceMismatch(f"tooth {tooth.id} has no gt_points")
+        t = transforms.get(tooth.id)
+        if t is None:
+            raise CorrespondenceMismatch(f"no transform for moved tooth {tooth.id}")
+        v, g = _recon_tooth(tooth.points, tooth.gt_points, t.rotation, t.translation, t.pivot)
+        value += v
+        grads[tooth.id] = g
+    return value, grads
 
 
 def val_theta_fn(gt_transforms, weights=None, zeta=None):

@@ -5,9 +5,16 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.interpolate import CubicHermiteSpline
 
-from toothalign.arch import NEWTON_ITERS, PROJECTION_SEEDS, ArchLine, fit_arch_line, serialize_points
+from toothalign.arch import (
+    MIN_KNOT_GAP_MM,
+    NEWTON_ITERS,
+    PROJECTION_SEEDS,
+    ArchLine,
+    fit_arch_line,
+    serialize_points,
+)
 from toothalign.case import Tooth
-from toothalign.errors import ArchOverrun, TooFewTeeth
+from toothalign.errors import ArchOverrun, CoincidentKnots, TooFewTeeth
 
 from oracles import dense_curve_distance, same_bits
 
@@ -196,6 +203,18 @@ def test_fit_arch_line_orders_by_id(corpus):
     ids = [t.id for t in sorted(jaw.present_teeth(), key=lambda t: t.id)]
     assert list(arch.tooth_ids) == ids
     assert arch.knots.shape[0] == len(ids)
+
+
+def test_fit_arch_line_rejects_coincident_neighbours(corpus):
+    jaw = corpus[0].upper.copy()
+    a, b = sorted(jaw.present_teeth(), key=lambda t: t.id)[3:5]
+    for gap, fits in ((0.0, False), (0.5 * MIN_KNOT_GAP_MM, False), (2 * MIN_KNOT_GAP_MM, True)):
+        b.points = a.points + [gap, 0.0, 0.0]
+        if fits:
+            fit_arch_line(jaw)
+            continue
+        with pytest.raises(CoincidentKnots, match=f"upper jaw: teeth {a.id} and {b.id} "):
+            fit_arch_line(jaw)
 
 
 # ------------------------------------------- scipy PPoly as the reference

@@ -1,11 +1,13 @@
 """tools/bench_compare.py: the parent checkout, the alternation of
-bench_record.py calls and the verdicts. ``record`` is replaced by canned
-runs; tests/test_bench_record.py covers the recorder itself."""
+bench/run.py runs, the BENCH files, the verdicts and the outputs lines.
+``run_bench`` is replaced by canned runs, except in the SIGTERM test;
+bench/test_bench_smoke.py runs the workloads themselves."""
 
 import contextlib
 import importlib.util
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -15,9 +17,10 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+ORDER = [(w, t) for w in ("augment", "align", "cli") for t in (0, 1)]
 
-# untraced align case_s_p50 per call: the change is faster in every
-# pair; setup_s of the parent spreads far past its 25 % bound
+# untraced case_s_p50 per round: the change is faster in every pair;
+# setup_s of the parent spreads far past its 25 % bound
 CANNED = {
     "parent": {"case_s_p50": [0.40, 0.41, 0.39, 0.42], "setup_s": [0.10, 0.20, 0.12, 0.11]},
     "change": {"case_s_p50": [0.33, 0.34, 0.32, 0.35], "setup_s": [0.10, 0.11, 0.12, 0.10]},
@@ -34,6 +37,10 @@ def _load_tool():
     return module
 
 
+def _head():
+    return subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True).stdout.strip()
+
+
 @pytest.fixture
 def tool(monkeypatch, tmp_path):
     module = _load_tool()
@@ -41,43 +48,42 @@ def tool(monkeypatch, tmp_path):
     tree = tmp_path / "parent_tree"
 
     @contextlib.contextmanager
-    def fake_checkout(rev):
+    def fake_checkout(sha):
         tree.mkdir()
-        calls.append(("checkout", rev))
+        calls.append(("checkout", sha))
         try:
             yield tree
         finally:
             tree.rmdir()
 
-    def fake_record(checkout, label, out_dir):
-        # the runs grow elsewhere: the files at --out-dir stay as they were
-        assert out_dir != tmp_path and (tmp_path / "BENCH_parent.json").read_text() == STALE
-        calls.append((checkout, label))
-        path = out_dir / f"BENCH_{label}.json"
-        bench = json.loads(path.read_text()) if path.exists() else {"runs": []}
-        k = sum(1 for c in calls if c[1:] == (label,)) - 1
-        for workload in ("augment", "align"):
-            for trace in (0, 1):
-                metrics = {} if trace else {m: {"value": v[k]} for m, v in CANNED[label].items()}
-                bench["runs"].append({"run": {"workload": workload, "trace": trace}, "result": {"metrics": metrics}})
-        path.write_text(json.dumps(bench))
+    def fake_run_bench(checkout, workload, trace):
+        # the files at --out-dir are written once, after the last run
+        assert (tmp_path / "BENCH_parent.json").read_text() == STALE
+        label = "parent" if checkout == tree else "change"
+        k = calls.count((label, workload, trace))
+        calls.append((label, workload, trace))
+        metrics = (
+            {"swin.window_attention_s": {"value": float(k)}}
+            if trace
+            else {m: {"value": v[k]} for m, v in CANNED[label].items()}
+        )
+        run = {"workload": workload, "trace": trace, "samples": 4, "outputs_sha256": workload}
+        return {"run": run, "result": {"metrics": metrics}}
 
     monkeypatch.setattr(module, "parent_checkout", fake_checkout)
-    monkeypatch.setattr(module, "record", fake_record)
+    monkeypatch.setattr(module, "run_bench", fake_run_bench)
     module.calls, module.tree = calls, tree
     return module
 
 
 def test_bench_compare_alternates_and_prints_one_verdict_per_metric(tool, tmp_path, capsys):
     (tmp_path / "BENCH_parent.json").write_text(STALE)
-    assert tool.main(["--parent", "HEAD~1", "--pairs", "4", "--out-dir", str(tmp_path)]) == 0
-    pair = [(tool.tree, "parent"), (tool.ROOT, "change")]
-    assert tool.calls == [("checkout", "HEAD~1")] + (pair + pair[::-1]) * 2
+    assert tool.main(["--parent", "HEAD", "--pairs", "4", "--out-dir", str(tmp_path)]) == 0
+    rounds = ["parent", "change", "change", "parent"] * 2
+    assert tool.calls == [("checkout", _head())] + [(label, w, t) for label in rounds for w, t in ORDER]
     assert not tool.tree.exists()
-    parent = json.loads((tmp_path / "BENCH_parent.json").read_text())
-    assert len(parent["runs"]) == 16 and "stale" not in parent["runs"][0]
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 4  # two workloads, two end-to-end metrics
+    assert len(lines) == 9  # three workloads, two end-to-end metrics, one outputs line each
     assert lines[2] == (
         "align case_s_p50: parent 0.405 [0.3975, 0.4125] change 0.335 [0.3275, 0.3425] -17.3%, "
         "better in 4/4: better (median moved past the parent IQR)"
@@ -85,6 +91,59 @@ def test_bench_compare_alternates_and_prints_one_verdict_per_metric(tool, tmp_pa
     assert lines[3].startswith("align setup_s: ") and lines[3].endswith(
         "better in 2/4: unresolved (parent spread 87% > bound 25%)"
     )
+    assert lines[6:] == [
+        "augment outputs: equal (over every run)",
+        "align outputs: equal (over every run)",
+        "cli outputs: equal (at 4 chains)",
+    ]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["BENCH_change.json", "BENCH_parent.json"]
+    parent, change = (json.loads((tmp_path / f"BENCH_{s}.json").read_text()) for s in ("parent", "change"))
+    assert set(parent) == {"label", "git_head", "git_modified", "machine", "runs", "summary"}
+    assert (parent["label"], parent["git_head"], parent["git_modified"]) == ("parent", _head(), [])
+    assert change["label"] == "change" and re.fullmatch(r"[0-9a-f]{40}", change["git_head"])
+    assert isinstance(change["git_modified"], list) and change["machine"] == parent["machine"]
+    machine = parent["machine"]
+    assert set(machine) >= {"nproc", "python", "numpy", "scipy", "blas", "blas_threads_set_by_bench_run"}
+    assert machine["nproc"] >= 1 and machine["blas_threads_set_by_bench_run"] == 1
+    assert [(r["run"]["workload"], r["run"]["trace"]) for r in parent["runs"]] == ORDER * 4
+    assert parent["summary"]["align"] == {
+        "case_s_p50": {"n": 4, "q1_median_q3": pytest.approx([0.3975, 0.405, 0.4125])},
+        "setup_s": {"n": 4, "q1_median_q3": pytest.approx([0.1075, 0.115, 0.14])},
+        "per_layer": {"swin.window_attention_s": {"n": 4, "median": 1.5}},
+    }
+
+
+def test_summary_and_outputs_of_the_committed_bench_files():
+    tool = _load_tool()
+    parent, change = (json.loads((ROOT / f"BENCH_{s}.json").read_text()) for s in ("parent", "change"))
+    assert tool.summarize(parent["runs"]) == parent["summary"]
+    assert tool.summarize(change["runs"]) == change["summary"]
+    assert [line.split(" (")[0] for line in tool.output_lines(parent, change)] == [
+        f"{w} outputs: equal" for w in ("augment", "align", "cli")
+    ]
+
+
+def _runs(workload, digests):
+    return [{"run": {"workload": workload, "samples": n, "outputs_sha256": d}} for n, d in digests]
+
+
+def test_outputs_line_compares_cli_runs_at_equal_chain_counts():
+    tool = _load_tool()
+    # the chain count changes the cli digest; 3 and 6 chains ran on one side only
+    parent = {"runs": _runs("cli", [(3, "c3"), (4, "c4"), (5, "c5"), (4, "c4")]) + _runs("align", [(96, "a")])}
+    change = {"runs": _runs("cli", [(4, "c4"), (5, "c5"), (6, "x"), (5, "c5")]) + _runs("align", [(108, "a")])}
+    assert tool.output_lines(parent, change) == [
+        "cli outputs: equal (at 4, 5 chains)",
+        "align outputs: equal (over every run)",
+    ]
+    change["runs"][3]["run"]["outputs_sha256"] = "other"
+    change["runs"][4]["run"]["outputs_sha256"] = "b"
+    assert tool.output_lines(parent, change) == [
+        "cli outputs: differ (at 4, 5 chains)",
+        "align outputs: differ (over every run)",
+    ]
+    only_six = {"runs": _runs("cli", [(6, "c6")])}
+    assert tool.output_lines({"runs": parent["runs"][:4]}, only_six) == ["cli outputs: differ (at no chain count of both sides)"]
 
 
 @pytest.mark.parametrize(
@@ -109,13 +168,13 @@ def test_verdict_counts_wins_by_direction():
 
 
 def test_bench_compare_removes_the_checkout_when_a_run_fails(tool, tmp_path, monkeypatch, capsys):
-    def failing(checkout, label, out_dir):
-        raise RuntimeError(f"bench_record.py --label {label} exited 1")
+    def failing(checkout, workload, trace):
+        raise RuntimeError(f"bench/run.py --workload {workload} --trace {trace} in {checkout} exited 1: boom")
 
-    monkeypatch.setattr(tool, "record", failing)
+    monkeypatch.setattr(tool, "run_bench", failing)
     (tmp_path / "BENCH_parent.json").write_text(STALE)
     assert tool.main(["--parent", "HEAD", "--pairs", "2", "--out-dir", str(tmp_path)]) == 1
-    assert "--label parent exited 1" in capsys.readouterr().err
+    assert "--workload augment --trace 0 in " in capsys.readouterr().err
     assert not tool.tree.exists()
     assert [p.name for p in tmp_path.iterdir()] == ["BENCH_parent.json"]
     assert (tmp_path / "BENCH_parent.json").read_text() == STALE
@@ -123,11 +182,10 @@ def test_bench_compare_removes_the_checkout_when_a_run_fails(tool, tmp_path, mon
 
 def test_parent_checkout_is_a_clone_at_the_revision_and_is_removed():
     tool = _load_tool()
-    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True).stdout.strip()
-    with tool.parent_checkout("HEAD") as tree:
+    head = _head()
+    with tool.parent_checkout(head) as tree:
         assert tool._git("rev-parse", "HEAD", cwd=tree) == head
         assert (tree / "src" / "toothalign" / "swin.py").is_file()
-        assert (tree / "tools" / "bench_record.py").read_bytes() == (ROOT / "tools" / "bench_record.py").read_bytes()
     assert not tree.exists()
 
 
@@ -137,13 +195,13 @@ def test_bench_compare_rejects_zero_pairs(capsys):
     assert exc.value.code == 2 and "--pairs" in capsys.readouterr().err
 
 
-# stands in for bench_record.py: starts a child that outlives it unless
-# its process group is ended, writes both pids, then waits
-FAKE_RECORDER = """
-import subprocess, sys, time
-from pathlib import Path
+# stands in for bench/run.py: starts a child that outlives it unless its
+# process group is ended, writes both pids into its checkout, then waits
+FAKE_RUN = """
+import os, subprocess, sys, time
 child = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(120)"])
-Path(sys.argv[sys.argv.index("--out-dir") + 1], "pids").write_text(f"{child.pid} {__import__('os').getpid()}")
+open("pids.tmp", "w").write(f"{child.pid} {os.getpid()}")
+os.replace("pids.tmp", "pids")
 time.sleep(120)
 """
 
@@ -156,12 +214,12 @@ def _running(pid: int) -> bool:
 
 
 def test_sigterm_removes_the_clone_and_ends_the_recorder(tmp_path):
-    # a one-commit repository whose bench_record.py is FAKE_RECORDER; the
-    # real parent_checkout and record run against it
+    # a one-commit repository whose bench/run.py is FAKE_RUN; the real
+    # parent_checkout and run_bench run against it
     repo, tmp = tmp_path / "repo", tmp_path / "tmp"
-    (repo / "tools").mkdir(parents=True)
+    (repo / "bench").mkdir(parents=True)
     tmp.mkdir()
-    (repo / "tools" / "bench_record.py").write_text(FAKE_RECORDER)
+    (repo / "bench" / "run.py").write_text(FAKE_RUN)
     (repo / "BENCHMARK.json").write_text(json.dumps({"end_to_end": []}))
     git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-C", str(repo)]
     subprocess.run(["git", "init", "--quiet", str(repo)], check=True)
@@ -174,16 +232,14 @@ def test_sigterm_removes_the_clone_and_ends_the_recorder(tmp_path):
         f"tool.ROOT = Path({str(repo)!r})\n"
         f"sys.exit(tool.main(['--parent', 'HEAD', '--pairs', '1', '--out-dir', {str(tmp_path / 'out')!r}]))\n"
     )
-    proc = subprocess.Popen(
-        [sys.executable, "-c", runner], env={**os.environ, "TMPDIR": str(tmp)}
-    )
+    proc = subprocess.Popen([sys.executable, "-c", runner], env={**os.environ, "TMPDIR": str(tmp)})
     try:
         deadline = time.monotonic() + 60
-        while not list(tmp.glob("*/pids")) and proc.poll() is None and time.monotonic() < deadline:
+        while not list(tmp.glob("bench_parent_*/tree/pids")) and proc.poll() is None and time.monotonic() < deadline:
             time.sleep(0.05)
-        (pids,) = tmp.glob("*/pids")
-        child, recorder = map(int, pids.read_text().split())
-        assert list(tmp.glob("bench_parent_*")) and _running(child) and _running(recorder)
+        (pids,) = tmp.glob("bench_parent_*/tree/pids")
+        child, run = map(int, pids.read_text().split())
+        assert _running(child) and _running(run)
         proc.send_signal(signal.SIGTERM)
         assert proc.wait(timeout=30) == 128 + signal.SIGTERM
     finally:
@@ -191,7 +247,7 @@ def test_sigterm_removes_the_clone_and_ends_the_recorder(tmp_path):
         proc.wait()
     assert list(tmp.iterdir()) == []
     deadline = time.monotonic() + 10
-    while (_running(child) or _running(recorder)) and time.monotonic() < deadline:
+    while (_running(child) or _running(run)) and time.monotonic() < deadline:
         time.sleep(0.05)
-    assert not _running(child) and not _running(recorder)
+    assert not _running(child) and not _running(run)
     assert not (tmp_path / "out").exists()

@@ -470,6 +470,44 @@ def test_malformed_document_exits_1_with_one_log_line(
     assert not (tmp_path / "out").exists()
 
 
+def _one_cloud(doc):
+    upper = [t for t in doc["upper"] if t.get("present", True)]
+    for t in upper:
+        t["points"], t["gt_points"] = upper[0]["points"], upper[0]["gt_points"]
+
+
+def _scaled_1e_300(doc):
+    for t in doc["upper"] + doc["lower"]:
+        for key in ("points", "gt_points"):
+            if t.get(key):
+                t[key] = [[c * 1e-300 for c in p] for p in t[key]]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mutate", [_one_cloud, _scaled_1e_300])
+def test_coincident_centroids_exit_2_with_one_log_line(mutate, capsys, caplog, tmp_path):
+    # the loader accepts both documents, but no arch line runs through
+    # centroids that coincide
+    assert main(["gen", "--teeth", "10", "--seed", "0", "-o", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "synth0-000.case.json").read_text())
+    mutate(doc)
+    (tmp_path / "case.json").write_text(json.dumps(doc))
+    case = str(tmp_path / "case.json")
+    for argv in (
+        ["augment", "--in", case, "-o", str(tmp_path / "out.json")],
+        ["serialize", "--in", case],
+        ["forward", "--in", case],
+    ):
+        capsys.readouterr()
+        caplog.clear()
+        code, out = _run(capsys, argv)
+        assert code == 2 and out == "", argv
+        messages = [r.getMessage() for r in caplog.records]
+        assert len(messages) == 1, argv
+        assert messages[0].startswith("CoincidentKnots: upper jaw: teeth "), argv
+    assert not (tmp_path / "out.json").exists()
+
+
 # the master-seed and config options each subcommand reads
 READS = {
     "gen": ("--seed", "--config"),

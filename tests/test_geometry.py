@@ -14,13 +14,12 @@ from toothalign.geometry import (
     quat_from_axis_angle,
     quat_from_matrix,
     quat_identity,
-    quat_multiply,
     quat_normalize,
     quat_to_matrix,
     rotation_angle_between,
 )
 
-from oracles import brute_fps
+from oracles import brute_fps, quat_multiply
 
 
 # ------------------------------------------------------------- quaternions

@@ -13,7 +13,6 @@ from toothalign.losses import (
     overlap_consistency_loss,
     posterior_uniformity_loss,
     recon_loss,
-    recon_loss_from_transforms,
     rot_trans_loss,
     total_loss,
 )
@@ -21,7 +20,13 @@ from toothalign.metrics import residual_transforms
 from toothalign.synthetic import generate_synthetic_case
 
 from conftest import gt_view
-from oracles import brute_xy_mask, grad_check, recon_theta_fn, val_theta_fn
+from oracles import (
+    brute_xy_mask,
+    grad_check,
+    recon_loss_from_transforms,
+    recon_theta_fn,
+    val_theta_fn,
+)
 
 
 def _tooth(tid, pts, moved=True, gt=None):

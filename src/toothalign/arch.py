@@ -275,7 +275,10 @@ class ArchLine:
             # Tangent parallel to z: fall back to the outward offset itself.
             fallback = away[small]
             fn = np.linalg.norm(fallback, axis=1, keepdims=True)
-            n[small] = np.where(fn > 1e-12, fallback / fn, [1.0, 0.0, 0.0])
+            keep = fn[:, 0] > 1e-12
+            unit = np.tile([1.0, 0.0, 0.0], (fallback.shape[0], 1))
+            unit[keep] = fallback[keep] / fn[keep]
+            n[small] = unit
             norms[small] = 1.0
         return n / norms
 

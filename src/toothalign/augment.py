@@ -16,9 +16,16 @@ exactly the sampled one. Collision tests treat each cloud as a union
 of proxy spheres; they and the gap distances are exact k-d tree
 queries (see bvh), equal to an all-pairs scan.
 
-The joint loop of one case reuses a tooth's tree for as long as the
-tooth has not moved (see _tree_of). The public passes below copy their
-input once and run the same in-place helpers on the copy.
+A regularization pass pulls every tooth toward the arch first, each
+pull step projecting all unsettled centroids in one call, and then
+closes the gaps center-out. A pull moves only its own tooth, and a
+projection's answer does not depend on the other queries of the call,
+so this equals pulling and closing tooth by tooth.
+
+The joint loop of one case remembers a tooth's tree, and the gap
+between two adjacent teeth, for as long as neither tooth has moved
+(see _Clouds). The public passes below copy their input once and run
+the same in-place helpers on the copy.
 """
 
 from __future__ import annotations
@@ -69,15 +76,38 @@ def perturb_tooth(tooth: Tooth, seed: int, config: AugmentConfig) -> RigidTransf
 
 # --------------------------------------------------------------- collision
 
-def _tree_of(tooth: Tooth, trees: dict[int, AabbTree]) -> AabbTree:
-    """The tree over the tooth's current points, from trees when the
-    entry there holds the very array ``tooth.points`` is bound to, else
-    built and stored. Every move rebinds ``points`` (see _translate) and
-    nothing writes them in place, so a moved tooth always misses."""
-    tree = trees.get(tooth.id)
+class _Clouds:
+    """What one case's proximity queries have already answered: per
+    tooth id the tree over its points, and per pair of ids (lower first)
+    the gap with the two points arrays it was measured on. An entry
+    counts only while the teeth are still bound to those very arrays.
+    Every move rebinds ``points`` (see _translate) and nothing writes
+    them in place, so a moved tooth always misses."""
+
+    def __init__(self):
+        self.trees: dict[int, AabbTree] = {}
+        self.gaps: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, float]] = {}
+
+
+def _tree_of(tooth: Tooth, clouds: _Clouds) -> AabbTree:
+    """The tree over the tooth's current points, remembered or built."""
+    tree = clouds.trees.get(tooth.id)
     if tree is None or tree.data is not tooth.points:
-        tree = trees[tooth.id] = AabbTree(tooth.points)
+        tree = clouds.trees[tooth.id] = AabbTree(tooth.points)
     return tree
+
+
+def _gap(tooth: Tooth, other: Tooth, clouds: _Clouds) -> float:
+    """cloud_gap between the two teeth's current points, remembered or
+    measured (on other's tree). cloud_gap is symmetric bit for bit, so
+    one entry serves both orders."""
+    lo, hi = sorted((tooth, other), key=lambda t: t.id)
+    seen = clouds.gaps.get((lo.id, hi.id))
+    if seen is not None and seen[0] is lo.points and seen[1] is hi.points:
+        return seen[2]
+    gap = cloud_gap(tooth.points, _tree_of(other, clouds))
+    clouds.gaps[(lo.id, hi.id)] = (lo.points, hi.points, gap)
+    return gap
 
 
 def penetration_distance(tooth_a: Tooth, tooth_b: Tooth) -> float:
@@ -109,22 +139,19 @@ def _separation_step(a: AabbTree, b: AabbTree, radius: float) -> float | None:
     return radius - d_min + 1e-3
 
 
-def detect_collisions(
-    jaw: Jaw, trees: dict[int, AabbTree] | None = None
-) -> list[tuple[int, int, float]]:
+def detect_collisions(jaw: Jaw, clouds: _Clouds | None = None) -> list[tuple[int, int, float]]:
     """All interlocking present-tooth pairs ``(id_a, id_b, step)``, in
     ascending id order; each step is a positive slide that clears the
     overlap. A pair whose grown bounding boxes are apart cannot
-    interlock and is not tested. ``trees`` maps tooth ids to trees
-    that the call reuses and adds to (see _tree_of); it never changes
-    the result."""
+    interlock and is not tested. ``clouds`` holds trees that the call
+    reuses and adds to (see _Clouds); it never changes the result."""
     teeth = jaw.present_teeth()
-    trees = {} if trees is None else trees
+    clouds = _Clouds() if clouds is None else clouds
     pairs = []
     for i, a in enumerate(teeth):
-        tree_a = _tree_of(a, trees)
+        tree_a = _tree_of(a, clouds)
         for b in teeth[i + 1 :]:
-            tree_b = _tree_of(b, trees)
+            tree_b = _tree_of(b, clouds)
             radius = a.proxy_radius + b.proxy_radius
             if boxes_apart(tree_a, tree_b, radius):
                 continue
@@ -136,15 +163,13 @@ def detect_collisions(
 
 # ------------------------------------------------------------- constraints
 
-def adjacent_gaps(
-    jaw: Jaw, trees: dict[int, AabbTree] | None = None
-) -> list[tuple[int, int, float]]:
+def adjacent_gaps(jaw: Jaw, clouds: _Clouds | None = None) -> list[tuple[int, int, float]]:
     """Nearest point-pair distance between adjacent present teeth;
     adjacency means consecutive present ids (absences skipped).
-    ``trees`` is as in detect_collisions."""
+    ``clouds`` holds trees and gaps, as in detect_collisions."""
     teeth = jaw.present_teeth()
-    trees = {} if trees is None else trees
-    return [(a.id, b.id, cloud_gap(a.points, _tree_of(b, trees))) for a, b in zip(teeth, teeth[1:])]
+    clouds = _Clouds() if clouds is None else clouds
+    return [(a.id, b.id, _gap(a, b, clouds)) for a, b in zip(teeth, teeth[1:])]
 
 
 def _center_out(teeth: list[Tooth]) -> list[Tooth]:
@@ -165,32 +190,36 @@ def _translate(tooth: Tooth, vec: np.ndarray) -> None:
     tooth.points = tooth.points + vec
 
 
-def _pull_to_arch(tooth: Tooth, arch: ArchLine, lo: float, hi: float) -> float:
-    """Perpendicular pulls until the centroid's arch distance is inside
-    [lo, hi]. Returns the total displacement."""
-    total = 0.0
+def _pull_to_arch(teeth: list[Tooth], arch: ArchLine, lo: float, hi: float) -> list[float]:
+    """Perpendicular pulls of each tooth until its centroid's arch
+    distance is inside [lo, hi]; one projection per step for all the
+    teeth still outside. Returns each tooth's total displacement."""
+    totals = [0.0] * len(teeth)
+    pending = list(range(len(teeth)))
     for _ in range(_PULL_STEPS):
-        c = tooth.centroid()
-        _, feet, dists = arch.project(c[None, :])
-        dist = float(dists[0])
-        if lo <= dist <= hi:
+        if not pending:
             break
-        if dist < 1e-12:
-            break  # on the arch; no direction to push outward
-        target = hi - _SLACK if dist > hi else lo + _SLACK
-        vec = (1.0 - target / dist) * (feet[0] - c)
-        _translate(tooth, vec)
-        total += float(np.linalg.norm(vec))
-    return total
+        centroids = np.array([teeth[k].centroid() for k in pending])
+        _, feet, dists = arch.project(centroids)
+        outside = []
+        for k, c, foot, dist in zip(pending, centroids, feet, dists.tolist()):
+            if lo <= dist <= hi or dist < 1e-12:
+                continue  # in range, or on the arch with no direction to push outward
+            target = hi - _SLACK if dist > hi else lo + _SLACK
+            vec = (1.0 - target / dist) * (foot - c)
+            _translate(teeth[k], vec)
+            totals[k] += float(np.linalg.norm(vec))
+            outside.append(k)
+        pending = outside
+    return totals
 
 
-def _close_gap(tooth: Tooth, mesial: Tooth, arch: ArchLine, threshold: float, trees) -> float:
+def _close_gap(tooth: Tooth, mesial: Tooth, arch: ArchLine, threshold: float, clouds: _Clouds) -> float:
     """Slides tooth toward the midline along the arch until its gap to
     the mesial neighbor is at most threshold. Returns total slide."""
     total = 0.0
-    mesial_tree = _tree_of(mesial, trees)
     for _ in range(_PULL_STEPS):
-        gap = cloud_gap(tooth.points, mesial_tree)
+        gap = _gap(tooth, mesial, clouds)
         if gap <= threshold:
             break
         delta = -(gap - (threshold - _SLACK))
@@ -201,19 +230,22 @@ def _close_gap(tooth: Tooth, mesial: Tooth, arch: ArchLine, threshold: float, tr
     return total
 
 
-def _regularize(jaw: Jaw, arch: ArchLine, config: AugmentConfig, trees) -> None:
-    """jaw_regularize, in place."""
+def _regularize(jaw: Jaw, arch: ArchLine, config: AugmentConfig, clouds: _Clouds) -> None:
+    """jaw_regularize, in place. Each pass pulls every tooth, then
+    closes the gaps center-out; ``shifted`` adds the moves up in the
+    order of pulling and closing tooth by tooth (see the module doc)."""
     lo, hi = config.arch_dist_range
     order = _center_out(jaw.present_teeth())
     for _ in range(_REGULARIZE_PASSES):
+        pulled = _pull_to_arch(order, arch, lo, hi)
         shifted = 0.0
         for k, tooth in enumerate(order):
-            shifted += _pull_to_arch(tooth, arch, lo, hi)
+            shifted += pulled[k]
             if k == 0:
                 continue
             mesial = _mesial_neighbor(jaw, tooth.id)
             if mesial is not None:
-                shifted += _close_gap(tooth, mesial, arch, config.gap_threshold, trees)
+                shifted += _close_gap(tooth, mesial, arch, config.gap_threshold, clouds)
         if shifted < 1e-9:
             break
 
@@ -225,7 +257,7 @@ def jaw_regularize(jaw: Jaw, arch: ArchLine, config: AugmentConfig) -> Jaw:
     slid). Pure; the input jaw is left untouched."""
     config.validate()
     out = jaw.copy()
-    _regularize(out, arch, config, {})
+    _regularize(out, arch, config, _Clouds())
     for tooth in out.present_teeth():
         _refresh_moved(tooth, jaw.get(tooth.id))
     return out
@@ -238,10 +270,10 @@ def _refresh_moved(tooth: Tooth, before: Tooth | None) -> None:
         tooth.moved = True
 
 
-def _resolve(jaw: Jaw, arch: ArchLine, config: AugmentConfig, trees) -> int:
+def _resolve(jaw: Jaw, arch: ArchLine, config: AugmentConfig, clouds: _Clouds) -> int:
     """resolve_collisions_verbose, in place; returns the iterations."""
     for iteration in range(config.max_collision_iters + 1):
-        pairs = detect_collisions(jaw, trees)
+        pairs = detect_collisions(jaw, clouds)
         if not pairs:
             return iteration
         if iteration == config.max_collision_iters:
@@ -270,7 +302,7 @@ def resolve_collisions_verbose(
     """
     config.validate()
     out = jaw.copy()
-    iterations = _resolve(out, arch, config, {})
+    iterations = _resolve(out, arch, config, _Clouds())
     for tooth in out.present_teeth():
         _refresh_moved(tooth, jaw.get(tooth.id))
     return out, iterations
@@ -292,7 +324,7 @@ def _gt_jaw(jaw: Jaw) -> Jaw:
 
 
 def _measure(
-    jaw: Jaw, arch: ArchLine | None, config: AugmentConfig, trees
+    jaw: Jaw, arch: ArchLine | None, config: AugmentConfig, clouds: _Clouds
 ) -> tuple[float, float, str]:
     """Widest adjacent gap, largest centroid arch distance (0.0 without
     an arch), and what breaks: empty when every gap and arch distance
@@ -300,7 +332,7 @@ def _measure(
     farthest outside its range. Arch distances are unsigned: one
     projection of every centroid, and no labial side."""
     broken = []
-    a, b, gap = max(adjacent_gaps(jaw, trees), key=lambda g: g[2], default=(0, 0, 0.0))
+    a, b, gap = max(adjacent_gaps(jaw, clouds), key=lambda g: g[2], default=(0, 0, 0.0))
     if gap > config.gap_threshold + 1e-9:
         broken.append(f"gap {a}-{b} is {gap:.6g} mm > {config.gap_threshold} mm")
     lo, hi = config.arch_dist_range
@@ -361,9 +393,9 @@ def check_constraints(case: Case, config: AugmentConfig) -> dict:
         if len(teeth) >= 2:
             has_gt = all(t.gt_points is not None for t in teeth)
             arch = fit_arch_line(_gt_jaw(jaw)) if has_gt else fit_arch_line(jaw)
-        trees: dict[int, AabbTree] = {}
-        gap, dist, broken = _measure(jaw, arch, config, trees)
-        jaws[side] = _jaw_entry(jaw, gap, dist, broken, len(detect_collisions(jaw, trees)), config)
+        clouds = _Clouds()
+        gap, dist, broken = _measure(jaw, arch, config, clouds)
+        jaws[side] = _jaw_entry(jaw, gap, dist, broken, len(detect_collisions(jaw, clouds)), config)
     return _report(case.id, jaws)
 
 
@@ -385,7 +417,7 @@ def constrained_augment_case_report(
     out = gt_case.copy()
     jaws: dict[str, dict] = {}
     iterations: dict[str, int] = {}
-    trees: dict[int, AabbTree] = {}  # see _tree_of
+    clouds = _Clouds()
     for side in ("upper", "lower"):
         working = _gt_jaw(out.jaw(side))
         arch = fit_arch_line(working)
@@ -394,9 +426,9 @@ def constrained_augment_case_report(
             tooth.points = t.apply(tooth.points)
         total_iters = 0
         for _ in range(_JOINT_ROUNDS):
-            _regularize(working, arch, config, trees)
-            total_iters += _resolve(working, arch, config, trees)
-            gap, dist, broken = _measure(working, arch, config, trees)
+            _regularize(working, arch, config, clouds)
+            total_iters += _resolve(working, arch, config, clouds)
+            gap, dist, broken = _measure(working, arch, config, clouds)
             if not broken:
                 break
         else:

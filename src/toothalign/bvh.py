@@ -11,8 +11,9 @@ Membership is then decided by the strict ``((a - b) ** 2).sum(-1) <
 r * r`` test on the original coordinates, so results equal an
 all-pairs scan exactly, not approximately. The gap between two clouds
 is a bounded nearest-neighbour search (Friedman, Bentley & Finkel
-1977): one real pair bounds it, and only points within that bound are
-looked at again.
+1977): one real pair bounds it, only query points within that bound of
+the tree's bounding box are searched again, and the search looks only
+within the bound.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ _TINY = 1e-280  # a squared bound below this nears the subnormals, where roundin
 
 class AabbTree(cKDTree):
     """Static k-d tree (its nodes are axis-aligned boxes) over a fixed
-    (n, 2) or (n, 3) cloud; the cloud is ``self.data``."""
+    (n, 2) or (n, 3) cloud; the cloud is ``self.data`` and its mean
+    ``self.centroid``."""
 
     def __init__(self, points):
         pts = np.asarray(points, dtype=float)
@@ -37,6 +39,7 @@ class AabbTree(cKDTree):
         if pts.shape[0] == 0:
             raise EmptyCloud("cannot build a tree over zero points")
         super().__init__(pts, balanced_tree=False)
+        self.centroid = self.data.mean(axis=0)
 
 
 def interlock_masks(a, b, radius: float) -> tuple[np.ndarray, np.ndarray, float]:
@@ -67,16 +70,25 @@ def cloud_gap(points, tree) -> float:
     ``nearest_distances(points, tree).min()``.
 
     The query row nearest the tree's centroid gives a real pair, whose
-    distance bounds the gap; only rows with a neighbour within that
-    bound (inflated, as above) have their distance recomputed. A bound
-    whose square leaves the normal range would lose the inflation to
-    rounding, so such a cloud pair takes the full query."""
+    distance bounds the gap. A row farther than that bound (inflated, as
+    above) from the tree's bounding box has no neighbour within it and is
+    dropped; the box distance is compared with the bound inflated once
+    more, which covers its rounding, so no row that could win is dropped.
+    Only the rows left are searched, within the bound, and have their
+    distance recomputed. A bound whose square leaves the normal range
+    would lose the inflation to rounding, so such a cloud pair takes the
+    full query."""
     pts = np.asarray(points, dtype=float)
-    near = ((pts - tree.data.mean(axis=0)) ** 2).sum(axis=-1).argmin()
+    near = ((pts - tree.centroid) ** 2).sum(axis=-1).argmin()
     bound = float(nearest_distances(pts[near : near + 1], tree)[0])
     if not bound * bound > _TINY:
         return float(nearest_distances(pts, tree).min())
-    _, j = tree.query(pts, distance_upper_bound=bound * _INFLATE)
+    reach = bound * _INFLATE
+    outside = np.maximum(np.maximum(tree.mins - pts, pts - tree.maxes), 0.0)
+    keep = (outside * outside).sum(axis=-1) <= reach * reach * _INFLATE
+    keep[near] = True
+    pts = pts[keep]
+    _, j = tree.query(pts, distance_upper_bound=reach)
     hit = j < tree.n
     return float(np.sqrt(((pts[hit] - tree.data[j[hit]]) ** 2).sum(axis=-1)).min())
 

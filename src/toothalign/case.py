@@ -3,8 +3,9 @@ tooth point image the network consumes.
 
 Universal numbering is used throughout: ids 1..16 belong to the upper jaw
 and 17..32 to the lower jaw, each running anatomically along its arch.
-Coordinates are millimetres with the occlusal plane at z = 0; the lower
-jaw points its crowns toward +z and the upper jaw toward -z.
+Coordinates are millimetres, each within +-1000 mm, with the occlusal
+plane at z = 0; the lower jaw points its crowns toward +z and the upper
+jaw toward -z.
 
 A case file (extension ``.case.json``) looks like::
 
@@ -40,6 +41,7 @@ from .errors import (
 from .geometry import RigidTransform, centroid
 
 POINT_COUNT = 512
+MAX_COORD_MM = 1000.0  # coordinate bound: ten jaw widths, far from float32 or squared overflow
 NORM_SCALE_MM = 40.0  # fixed divisor when feeding coordinates to the network
 UPPER_IDS = range(1, 17)
 LOWER_IDS = range(17, 33)
@@ -147,7 +149,7 @@ def is_finite_number(value) -> bool:
     )
 
 
-def _check_points(raw, path: str, expected: int | None) -> np.ndarray:
+def _check_points(raw, path: str, expected: int | None, tid: int) -> np.ndarray:
     if not isinstance(raw, list):
         raise SchemaViolation("points must be a list of [x, y, z]", path)
     if expected is not None and len(raw) != expected:
@@ -167,6 +169,12 @@ def _check_points(raw, path: str, expected: int | None) -> np.ndarray:
         and {type(v) for p in raw for v in p} <= {int, float}
     ):
         raise SchemaViolation("each point must be a list of 3 finite numbers", path)
+    far = np.abs(arr) > MAX_COORD_MM
+    if far.any():
+        value = arr.flat[far.argmax()]
+        raise SchemaViolation(
+            f"tooth {tid} has coordinate {value:.6g} mm, outside [-{MAX_COORD_MM:g}, {MAX_COORD_MM:g}] mm", path
+        )
     return arr
 
 
@@ -195,9 +203,9 @@ def _tooth_from_dict(raw: dict, side: str, index: int, expected: int | None) -> 
     if present:
         if "points" not in raw:
             raise SchemaViolation("present tooth requires points", path)
-        points = _check_points(raw["points"], f"{path}.points", expected)
+        points = _check_points(raw["points"], f"{path}.points", expected, tid)
         if raw.get("gt_points") is not None:
-            gt_points = _check_points(raw["gt_points"], f"{path}.gt_points", expected)
+            gt_points = _check_points(raw["gt_points"], f"{path}.gt_points", expected, tid)
             if gt_points.shape != points.shape:
                 raise CorrespondenceMismatch(
                     f"{path}: gt_points and points must correspond index-wise"

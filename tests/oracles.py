@@ -2,10 +2,12 @@
 
 Everything here is deliberately written the slow, obvious way (explicit
 loops, dense sampling, scipy KD-trees) and shares no code with the
-package internals beyond numpy itself, with two exceptions. The
+package internals beyond numpy itself, with three exceptions. The
 gradient checks and ``recon_loss_from_transforms`` wrap the package's
 per-tooth reconstruction term, whose analytic gradient they test
-against finite differences. The network
+against finite differences. ``pull_to_arch_one_by_one`` is the
+one-tooth, one-point pull loop that augmentation batches; it calls the
+package's arch projection one centroid at a time. The network
 oracles reuse the package's window layout, masks and GELU, and keep the
 plain two-pass norm and full-grid masked path that the package's norm,
 attention and block must reproduce bit for bit.
@@ -89,6 +91,26 @@ def brute_xy_mask(points, region, tau):
         )
         mask[i] = best < tau * tau
     return mask
+
+
+def pull_to_arch_one_by_one(tooth, arch, lo, hi, steps=16, slack=1e-6):
+    """Perpendicular pulls of one tooth, one projection of its centroid
+    per step, until the centroid's arch distance is inside [lo, hi].
+    Returns the total displacement."""
+    total = 0.0
+    for _ in range(steps):
+        c = tooth.points.mean(axis=0)
+        _, feet, dists = arch.project(c[None, :])
+        dist = float(dists[0])
+        if lo <= dist <= hi:
+            break
+        if dist < 1e-12:
+            break  # on the arch; no direction to push outward
+        target = hi - slack if dist > hi else lo + slack
+        vec = (1.0 - target / dist) * (feet[0] - c)
+        tooth.points = tooth.points + vec
+        total += float(np.linalg.norm(vec))
+    return total
 
 
 def dense_curve_distance(arch, queries, samples=200001):

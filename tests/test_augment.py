@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toothalign import augment
 from toothalign.arch import fit_arch_line
@@ -17,7 +19,7 @@ from toothalign.augment import (
     perturb_tooth,
     resolve_collisions_verbose,
 )
-from toothalign.bvh import AabbTree
+from toothalign.bvh import AabbTree, cloud_gap
 from toothalign.case import Jaw, Tooth
 from toothalign.config import config_from_dict
 from toothalign.errors import (
@@ -30,7 +32,13 @@ from toothalign.seeding import derive_seed
 from toothalign.synthetic import SynthParams, generate_synthetic_case
 
 from conftest import gt_view
-from oracles import brute_collision_pairs, brute_min_distance, maxwell_mean, same_bits
+from oracles import (
+    brute_collision_pairs,
+    brute_min_distance,
+    maxwell_mean,
+    pull_to_arch_one_by_one,
+    same_bits,
+)
 
 
 def _tooth(tid, pts, radius=0.25, gt=None):
@@ -242,6 +250,56 @@ def test_regularize_preserves_rotation(corpus):
         assert post == pytest.approx(pre[t.id], abs=1e-9)
 
 
+def _regularize_tooth_by_tooth(jaw, arch, config):
+    """The regularization pass before its pulls were batched: pull tooth
+    k to the arch, then close its gap, in center-out order."""
+    lo, hi = config.arch_dist_range
+    clouds = augment._Clouds()
+    order = augment._center_out(jaw.present_teeth())
+    for _ in range(augment._REGULARIZE_PASSES):
+        shifted = 0.0
+        for k, tooth in enumerate(order):
+            shifted += pull_to_arch_one_by_one(tooth, arch, lo, hi)
+            if k == 0:
+                continue
+            mesial = augment._mesial_neighbor(jaw, tooth.id)
+            if mesial is not None:
+                shifted += augment._close_gap(tooth, mesial, arch, config.gap_threshold, clouds)
+        if shifted < 1e-9:
+            break
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    st.integers(0, 99),
+    st.sampled_from(["upper", "lower"]),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([(0.0, 2.2), (1.0, 2.2), (0.5, 0.5), (0.0, 0.3)]),
+)
+def test_batched_pulls_leave_the_jaws_of_pulls_tooth_by_tooth(corpus, k, side, seed, arch_range):
+    """One projection per pull step for every tooth still outside the
+    range moves each tooth, and each pass, exactly as one-point pulls
+    interleaved with the gap closing did."""
+    case = corpus[k]
+    arch = fit_arch_line(gt_view(case).jaw(side))
+    config = AugmentConfig(arch_dist_range=arch_range)
+    lo, hi = arch_range
+    jaw = _perturbed_jaw(case, side, seed)
+
+    batched, one_by_one = jaw.copy(), jaw.copy()
+    order = augment._center_out(batched.present_teeth())
+    totals = augment._pull_to_arch(order, arch, lo, hi)
+    want = [pull_to_arch_one_by_one(t, arch, lo, hi) for t in augment._center_out(one_by_one.present_teeth())]
+    assert same_bits(totals, want)
+    for a, b in zip(batched.teeth, one_by_one.teeth):
+        assert a.points is None or same_bits(a.points, b.points)
+
+    batched, one_by_one = jaw_regularize(jaw, arch, config), jaw.copy()
+    _regularize_tooth_by_tooth(one_by_one, arch, config)
+    for a, b in zip(batched.teeth, one_by_one.teeth):
+        assert a.points is None or same_bits(a.points, b.points)
+
+
 # ------------------------------------------------------------- resolution
 
 def test_resolve_clears_forced_overlap(corpus):
@@ -365,9 +423,11 @@ def test_constrained_report_is_check_constraints(config):
 
 
 def test_reused_trees_are_never_stale(monkeypatch):
-    """The joint loop reuses a tooth's tree while the tooth has not
-    moved; building every tree afresh must give the same cases and
-    reports, bit for bit, while building more trees."""
+    """The joint loop reuses a tooth's tree, and a gap, while the teeth
+    have not moved; building every tree and measuring every gap afresh
+    must give the same cases and reports, bit for bit, while building
+    more trees. Every gap the reuse answers, remembered or not, equals a
+    fresh measurement of the teeth as they are then."""
     runs = [
         (generate_synthetic_case(SynthParams(teeth_per_jaw=n), seed=2000 + n, case_id=f"t{n}"), seed)
         for n in (8, 9, 10, 12)
@@ -380,13 +440,36 @@ def test_reused_trees_are_never_stale(monkeypatch):
             builds[-1] += 1
             super().__init__(points)
 
+    measured, asked, stale = [], [], []
+
+    def counting_gap(points, tree):
+        measured[-1] += 1
+        return cloud_gap(points, tree)
+
+    def checked_gap(tooth, other, clouds, reused=augment._gap):
+        asked[-1] += 1
+        got = reused(tooth, other, clouds)
+        if not same_bits(got, cloud_gap(tooth.points, AabbTree(other.points))):
+            stale.append((tooth.id, other.id))
+        return got
+
     monkeypatch.setattr(augment, "AabbTree", CountingTree)
+    monkeypatch.setattr(augment, "cloud_gap", counting_gap)
+    fresh = (
+        lambda tooth, clouds: CountingTree(tooth.points),
+        lambda tooth, other, clouds: counting_gap(tooth.points, CountingTree(other.points)),
+    )
     results = []
-    for tree_of in (augment._tree_of, lambda tooth, trees: CountingTree(tooth.points)):
+    for tree_of, gap in ((augment._tree_of, checked_gap), fresh):
         monkeypatch.setattr(augment, "_tree_of", tree_of)
+        monkeypatch.setattr(augment, "_gap", gap)
         builds.append(0)
+        measured.append(0)
+        asked.append(0)
         results.append([constrained_augment_case_report(case, seed) for case, seed in runs])
     assert builds[0] < builds[1]
+    assert not stale
+    assert measured[0] < asked[0]  # some gaps were remembered
     for (reused, report), (fresh, want) in zip(*results):
         assert report == want
         for a, b in zip(reused.upper.teeth + reused.lower.teeth, fresh.upper.teeth + fresh.lower.teeth):

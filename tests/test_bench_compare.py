@@ -152,6 +152,29 @@ def test_verdict_counts_wins_by_direction():
     assert tool.verdict([1.0, 2.0, 3.0], [2.0, 1.0, 4.0], "lower", 10.0)["wins"] == 1
 
 
+def test_verdict_needs_three_runs_on_each_side():
+    tool = _load_tool()
+    for parent, change in (([1.0, 1.0], [0.5] * 10), ([1.0] * 10, [0.5, 0.5])):
+        v = tool.verdict(parent, change, "lower", 0.25)
+        assert (v["verdict"], v["why"]) == ("unresolved", "too few runs for an interquartile range")
+    assert tool.verdict([1.0] * 3, [0.5] * 3, "lower", 0.25)["verdict"] == "better"
+
+
+def test_one_pair_reads_unresolved_on_every_metric(tool, tmp_path, capsys):
+    # one run per side has an interquartile range of 0, past which any move would go
+    (tmp_path / "BENCH_parent.json").write_text(STALE)
+    assert tool.main(["--parent", "HEAD", "--pairs", "1", "--out-dir", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2] == (
+        "align case_s_p50: parent 0.4 [0.4, 0.4] change 0.33 [0.33, 0.33] -17.5%, "
+        "better in 1/1: unresolved (too few runs for an interquartile range)"
+    )
+    assert len(lines) == 9
+    assert all(line.endswith(": unresolved (too few runs for an interquartile range)") for line in lines[:6])
+    assert lines[6:] == [f"{w} outputs: equal ({what})" for w, what in (
+        ("augment", "over every run"), ("align", "over every run"), ("cli", "at 4 chains"))]
+
+
 def test_bench_compare_removes_the_checkout_when_a_run_fails(tool, tmp_path, monkeypatch, capsys):
     def failing(checkout, workload, trace):
         raise RuntimeError(f"bench/run.py --workload {workload} --trace {trace} in {checkout} exited 1: boom")

@@ -2,8 +2,9 @@
 flagged distance, nearest distances and the gap between two clouds
 equal a numpy all-pairs scan bit for bit, including lattices where many
 pairs sit exactly at the radius (a pair at exactly the radius is
-outside) and many pairs tie for the gap. A box test that reports two
-clouds apart leaves no pair to flag."""
+outside) and many pairs tie for the gap, and separated clouds, where
+the gap query drops most rows by their distance to the other cloud's
+box. A box test that reports two clouds apart leaves no pair to flag."""
 
 import numpy as np
 import pytest
@@ -62,6 +63,35 @@ def lattice_clouds(draw):
     return a, b, radius
 
 
+@st.composite
+def separated_clouds(draw):
+    """b on a lattice or random; a beyond b's box on one axis. Lattice
+    rows of a sit a whole number of cells deep behind a face a whole
+    number of cells from b's box: the rows of that face lie exactly the
+    gap from the box, where many tie for it, and rows deeper than the
+    bound lie past its reach."""
+    dim = draw(st.sampled_from([2, 3]))
+    axis = draw(st.integers(0, dim - 1))
+    side = draw(st.sampled_from([1.0, -1.0]))
+    if draw(st.booleans()):
+        spacing = draw(st.sampled_from([1.0, 0.25, 0.07, 0.1, 0.3]))
+        cells = st.tuples(*[st.integers(0, 4)] * dim)
+        b = np.array(draw(st.lists(cells, min_size=1, max_size=40)), dtype=float)
+        a = np.array(draw(st.lists(cells, min_size=8, max_size=40)), dtype=float)
+        depth = np.array(draw(st.lists(st.integers(0, 40), min_size=len(a), max_size=len(a))))
+        gap = draw(st.integers(1, 3))
+        a[:, axis] = np.where(side > 0, b[:, axis].max() + gap + depth, b[:, axis].min() - gap - depth)
+        a, b = a * spacing, b * spacing
+        radius = draw(st.sampled_from([1, 2, 3])) * spacing
+    else:
+        coords = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+        b = draw(arrays(np.float64, (draw(st.integers(1, 60)), dim), elements=coords))
+        a = draw(arrays(np.float64, (draw(st.integers(8, 60)), dim), elements=coords))
+        a[:, axis] = side * (3.0 + draw(st.floats(0.0, 5.0)) + 10.0 * (a[:, axis] + 3.0))
+        radius = draw(st.floats(0.0, 4.0))
+    return a, b, radius
+
+
 @PROPERTY
 @given(random_clouds())
 def test_random_clouds_match_all_pairs(clouds):
@@ -71,6 +101,12 @@ def test_random_clouds_match_all_pairs(clouds):
 @PROPERTY
 @given(lattice_clouds())
 def test_lattice_clouds_match_all_pairs(clouds):
+    _assert_matches_all_pairs(*clouds)
+
+
+@PROPERTY
+@given(separated_clouds())
+def test_separated_clouds_match_all_pairs(clouds):
     _assert_matches_all_pairs(*clouds)
 
 

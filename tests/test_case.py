@@ -1,6 +1,5 @@
 import copy
 import json
-import sys
 import tempfile
 from pathlib import Path
 
@@ -15,6 +14,7 @@ from toothalign.arch import fit_case_arches, serialize_points
 from toothalign.case import (
     ANTERIOR_IDS,
     LOWER_IDS,
+    MAX_COORD_MM,
     NORM_SCALE_MM,
     POINT_COUNT,
     UPPER_IDS,
@@ -142,8 +142,8 @@ def _paths(doc, prefix=()):
         yield from _paths(child, prefix + (key,))
 
 
-_BAD_VALUES = ["a", "1.5", None, True, False, float("nan"), float("inf"), 10**400, -1, 0,
-               2.5, [], [1, 2], [1, 2, 3, 4], [[1, 2, 3]], {}, {"x": 1}]
+_BAD_VALUES = ["a", "1.5", None, True, False, float("nan"), float("inf"), 10**400, -1e150, 1000.5,
+               -1, 0, 2.5, [], [1, 2], [1, 2, 3, 4], [[1, 2, 3]], {}, {"x": 1}]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -160,16 +160,17 @@ def test_mutated_case_document_fails_typed(path, value):
         case = None
     is_coordinate = len(path) == 5 and path[2] in ("points", "gt_points")
     if is_coordinate:
-        # a coordinate is accepted exactly when it is a number a float holds
-        valid = type(value) in (int, float) and abs(value) <= sys.float_info.max
+        # a coordinate is accepted exactly when it is a number within the bound
+        valid = type(value) in (int, float) and abs(value) <= MAX_COORD_MM
         assert (case is not None) == valid, (path, value)
 
 
 # extreme but valid coordinates: signed zero, the smallest subnormal and
-# values near the largest finite float must survive the text round trip
-_EDGE_COORDS = [0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308]
+# the bound itself with its nearest floats must survive the text round trip
+_BELOW_BOUND = float(np.nextafter(MAX_COORD_MM, 0.0))
+_EDGE_COORDS = [0.0, -0.0, 5e-324, -5e-324, MAX_COORD_MM, -MAX_COORD_MM, _BELOW_BOUND, -_BELOW_BOUND]
 _COORDS = st.one_of(
-    st.sampled_from(_EDGE_COORDS), st.floats(allow_nan=False, allow_infinity=False)
+    st.sampled_from(_EDGE_COORDS), st.floats(-MAX_COORD_MM, MAX_COORD_MM, allow_nan=False)
 )
 
 
@@ -296,6 +297,11 @@ MUTATIONS = {
     "tooth id written as 5.0": (_set(("upper", 0, "id"), 5.0), SchemaViolation),
     "coordinate 1e400 (inf after parsing)": (
         _set(("upper", 0, "points", 0, 0), json.loads("1e400")),
+        SchemaViolation,
+    ),
+    "coordinate on the bound": (_set(("upper", 0, "points", 0, 1), -MAX_COORD_MM), None),
+    "coordinate past the bound": (
+        _set(("upper", 0, "gt_points", 3, 2), float(np.nextafter(MAX_COORD_MM, np.inf))),
         SchemaViolation,
     ),
     "proxy_radius 1e400": (_set(("upper", 0, "proxy_radius"), json.loads("1e400")), SchemaViolation),

@@ -508,6 +508,30 @@ def test_coincident_centroids_exit_2_with_one_log_line(mutate, capsys, caplog, t
     assert not (tmp_path / "out.json").exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_coordinates_past_the_bound_exit_1_with_one_log_line(capsys, caplog, tmp_path):
+    # scaled by 1e150 the upper jaw overflowed float32 arch seeds, and
+    # serialize, forward and loss exited 0 after numpy warnings
+    assert main(["gen", "--teeth", "10", "--seed", "0", "-o", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "synth0-000.case.json").read_text())
+    for t in doc["upper"]:
+        for key in ("points", "gt_points"):
+            if t.get(key):
+                t[key] = [[c * 1e150 for c in p] for p in t[key]]
+    (tmp_path / "case.json").write_text(json.dumps(doc))
+    case = str(tmp_path / "case.json")
+    k, first = next((k, t["id"]) for k, t in enumerate(doc["upper"]) if t.get("points"))
+    for argv in (["serialize", "--in", case], ["forward", "--in", case], ["loss", "--pred", case, "--gt", case]):
+        capsys.readouterr()
+        caplog.clear()
+        code, out = _run(capsys, argv)
+        assert code == 1 and out == "", argv
+        messages = [r.getMessage() for r in caplog.records]
+        assert len(messages) == 1, argv
+        assert messages[0].startswith(f"SchemaViolation: upper[{k}].points: tooth {first} has coordinate "), argv
+        assert "e+15" in messages[0] and "outside [-1000, 1000] mm" in messages[0], argv
+
+
 # the master-seed and config options each subcommand reads
 READS = {
     "gen": ("--seed", "--config"),

@@ -23,9 +23,10 @@ Then it prints one verdict line per workload and end-to-end metric of
 of the median, and in how many of the pairs the change was better (the
 i-th untraced run of one side against the i-th of the other). A metric
 reads ``better`` or ``worse`` only when its median moved by more than
-the parent's interquartile range, and ``unresolved`` otherwise, or when
-the parent's runs spread (max - min, over the median) past the
-metric's bound. Last comes one ``outputs`` line per workload, ``equal``
+the parent's interquartile range, and ``unresolved`` otherwise, when
+either side has fewer than 3 runs (too few for an interquartile
+range), or when the parent's runs spread (max - min, over the median)
+past the metric's bound. Last comes one ``outputs`` line per workload, ``equal``
 when every run of both sides gave one output digest. The ``cli``
 digest covers every chain a run fitted, so its runs are compared only
 at chain counts that both sides ran. The exit code is 0 when every run
@@ -52,6 +53,7 @@ import scipy
 ROOT = Path(__file__).resolve().parents[1]
 # one round: every workload untraced (end-to-end metrics), then traced (per-layer)
 ROUND = [(workload, trace) for workload in ("augment", "align", "cli") for trace in (0, 1)]
+MIN_RUNS = 3  # fewer runs per side give no interquartile range to judge a move by
 
 
 def parse_args(argv=None):
@@ -160,7 +162,10 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
     wins = sum(sign * (change[i] - parent[i]) > 0 for i in range(pairs))
     move = cq[1] - pq[1]
     spread = (max(parent) - min(parent)) / abs(pq[1]) if pq[1] else float("inf")
-    if spread > bound:
+    if min(len(parent), len(change)) < MIN_RUNS:
+        word = "unresolved"
+        why = "too few runs for an interquartile range"
+    elif spread > bound:
         word = "unresolved"
         why = f"parent spread {spread:.0%} > bound {bound:.0%}"
     elif abs(move) > pq[2] - pq[0]:

@@ -101,7 +101,7 @@ def _gap(tooth: Tooth, other: Tooth, clouds: _Clouds) -> float:
     """cloud_gap between the two teeth's current points, remembered or
     measured (on other's tree). cloud_gap is symmetric bit for bit, so
     one entry serves both orders."""
-    lo, hi = sorted((tooth, other), key=lambda t: t.id)
+    lo, hi = (tooth, other) if tooth.id < other.id else (other, tooth)
     seen = clouds.gaps.get((lo.id, hi.id))
     if seen is not None and seen[0] is lo.points and seen[1] is hi.points:
         return seen[2]

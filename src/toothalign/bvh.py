@@ -18,6 +18,8 @@ within the bound.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 from scipy.spatial import cKDTree
 
@@ -29,8 +31,7 @@ _TINY = 1e-280  # a squared bound below this nears the subnormals, where roundin
 
 class AabbTree(cKDTree):
     """Static k-d tree (its nodes are axis-aligned boxes) over a fixed
-    (n, 2) or (n, 3) cloud; the cloud is ``self.data`` and its mean
-    ``self.centroid``."""
+    (n, 2) or (n, 3) cloud; the cloud is ``self.data``."""
 
     def __init__(self, points):
         pts = np.asarray(points, dtype=float)
@@ -39,7 +40,12 @@ class AabbTree(cKDTree):
         if pts.shape[0] == 0:
             raise EmptyCloud("cannot build a tree over zero points")
         super().__init__(pts, balanced_tree=False)
-        self.centroid = self.data.mean(axis=0)
+
+    @cached_property
+    def centroid(self) -> np.ndarray:
+        """Mean of the cloud, computed once, when a gap query first asks;
+        trees that only flag interlocks never pay for it."""
+        return self.data.mean(axis=0)
 
 
 def interlock_masks(a, b, radius: float) -> tuple[np.ndarray, np.ndarray, float]:

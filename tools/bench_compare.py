@@ -26,8 +26,8 @@ reads ``better`` or ``worse`` only when its median moved by more than
 the parent's interquartile range, and ``unresolved`` otherwise, when
 either side has fewer than 3 runs (too few for an interquartile
 range), or when the parent's runs spread (max - min, over the median)
-past the metric's bound. Last comes one ``outputs`` line per workload, ``equal``
-when every run of both sides gave one output digest. The ``cli``
+past the metric's bound. Last comes one ``outputs`` line per workload,
+``equal`` when every run of both sides gave one output digest. The ``cli``
 digest covers every chain a run fitted, so its runs are compared only
 at chain counts that both sides ran. The exit code is 0 when every run
 completed.

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .case import Case, Jaw, Tooth, midline_offset
-from .errors import ArchOverrun, CoincidentKnots, TooFewTeeth
+from .case import Case, Jaw, Tooth, midline, midline_offset
+from .errors import CoincidentKnots, TooFewTeeth
 
 SAMPLES_PER_SEGMENT = 256  # arc-length table resolution
 PROJECTION_SEEDS = 64  # uniform Newton seeds per segment
@@ -146,7 +146,7 @@ class ArchLine:
         if self.tooth_ids:
             offs = [midline_offset(i) for i in self.tooth_ids]
             order = np.argsort(offs, kind="stable")
-            mid = 8.5 if self.tooth_ids[0] <= 16 else 24.5
+            mid = midline(self.tooth_ids[0])
             first = int(order[0])
             # Knots on both sides of the anatomical midline: put the
             # midline halfway between the two most central ones.
@@ -295,14 +295,13 @@ class ArchLine:
 
     # ------------------------------------------------------ moving along
 
-    def move_along(self, point, delta: float, extend: bool = False) -> np.ndarray:
+    def move_along(self, point, delta: float) -> np.ndarray:
         """Slide a point along the arch by ``delta`` millimetres of arc.
 
         Positive delta moves away from the jaw midline, negative toward
         it. The point keeps its offset from the curve: it is translated
-        by the difference between the new and old foot points. Leaving
-        the curve domain raises ArchOverrun unless ``extend`` is set, in
-        which case the curve continues straight along its end tangent.
+        by the difference between the new and old foot points. Past
+        either end the curve continues straight along its end tangent.
         """
         p = np.asarray(point, dtype=float).reshape(3)
         t0, foot0, _ = self.project(p[None, :])
@@ -313,15 +312,10 @@ class ArchLine:
         total = self.total_length()
         if -1e-9 <= s1 <= total + 1e-9:
             foot1 = self.point_at(self.param_at_arc(np.clip(s1, 0.0, total)))
-        elif not extend:
-            raise ArchOverrun(f"arc position {s1:.3f} outside [0, {total:.3f}]")
-        elif s1 < 0.0:
-            d = self.tangent_at(0.0)
-            foot1 = self.point_at(0.0) + d / np.linalg.norm(d) * s1
         else:
-            tend = self.knots.shape[0] - 1.0
-            d = self.tangent_at(tend)
-            foot1 = self.point_at(tend) + d / np.linalg.norm(d) * (s1 - total)
+            t_end, past = (0.0, s1) if s1 < 0.0 else (self.knots.shape[0] - 1.0, s1 - total)
+            d = self.tangent_at(t_end)
+            foot1 = self.point_at(t_end) + d / np.linalg.norm(d) * past
         return p + (np.asarray(foot1) - foot0[0])
 
 

@@ -22,10 +22,11 @@ closes the gaps center-out. A pull moves only its own tooth, and a
 projection's answer does not depend on the other queries of the call,
 so this equals pulling and closing tooth by tooth.
 
-The joint loop of one case remembers a tooth's tree, and the gap
-between two adjacent teeth, for as long as neither tooth has moved
-(see _Clouds). The public passes below copy their input once and run
-the same in-place helpers on the copy.
+Both passes work in place and move points only; the ``moved`` flags
+are the caller's. The joint loop of one case runs them with one
+``clouds`` store, which remembers a tooth's tree, and the gap between
+two adjacent teeth, for as long as neither tooth has moved (see
+_Clouds).
 """
 
 from __future__ import annotations
@@ -34,15 +35,10 @@ import numpy as np
 
 from .arch import ArchLine, fit_arch_line
 from .bvh import AabbTree, boxes_apart, cloud_gap, interlock_masks
-from .case import Case, Jaw, Tooth, midline_offset
+from .case import Case, Jaw, Tooth, midline, midline_offset
 from .config import AugmentConfig
-from .errors import (
-    CollisionUnresolved,
-    ConstraintViolation,
-    CorrespondenceMismatch,
-    NoCollision,
-)
-from .geometry import RigidTransform, kabsch_recover, quat_from_axis_angle
+from .errors import CollisionUnresolved, ConstraintViolation, CorrespondenceMismatch, DegenerateCloud
+from .geometry import RigidTransform, kabsch_recover, random_rigid
 from .seeding import derive_seed
 
 _REGULARIZE_PASSES = 8
@@ -54,23 +50,11 @@ _SLACK = 1e-6  # settle strictly inside thresholds so re-checks stay quiet
 # ------------------------------------------------------------ perturbation
 
 def perturb_tooth(tooth: Tooth, seed: int, config: AugmentConfig) -> RigidTransform:
-    """Random displacement about the tooth centroid: rotation angle
-    uniform in +-rot_range about a uniformly random axis, translation
-    components i.i.d. Normal(trans_mu, trans_sigma).
-
-    Draw order (axis, angle, translation) is fixed; same seed, same
-    transform.
-    """
+    """Random displacement about the tooth centroid (see random_rigid),
+    rotation angle in +-rot_range degrees; same seed, same transform."""
     rng = np.random.default_rng(seed)
-    axis = rng.normal(size=3)
-    while np.linalg.norm(axis) < 1e-12:
-        axis = rng.normal(size=3)
-    angle = rng.uniform(-np.deg2rad(config.rot_range), np.deg2rad(config.rot_range))
-    trans = rng.normal(config.trans_mu, config.trans_sigma, size=3)
-    return RigidTransform(
-        rotation=quat_from_axis_angle(axis, angle),
-        translation=trans,
-        pivot=tooth.centroid(),
+    return random_rigid(
+        rng, np.deg2rad(config.rot_range), config.trans_mu, config.trans_sigma, tooth.centroid()
     )
 
 
@@ -110,29 +94,14 @@ def _gap(tooth: Tooth, other: Tooth, clouds: _Clouds) -> float:
     return gap
 
 
-def penetration_distance(tooth_a: Tooth, tooth_b: Tooth) -> float:
-    """Overlap extent: the farthest distance between interlocking
-    points, where a point interlocks when it lies strictly inside the
-    other cloud's proxy volume.
-
-    A single coincident contact point yields ~0; this is the raw
-    extent, see detect_collisions for the always-positive resolution step.
-    """
-    radius = tooth_a.proxy_radius + tooth_b.proxy_radius
-    mask_a, mask_b, _ = interlock_masks(AabbTree(tooth_a.points), AabbTree(tooth_b.points), radius)
-    if not mask_a.any():
-        raise NoCollision(f"teeth {tooth_a.id} and {tooth_b.id} do not interlock")
-    pa, pb = tooth_a.points[mask_a], tooth_b.points[mask_b]
-    return float(np.sqrt(((pa[:, None, :] - pb[None, :, :]) ** 2).sum(axis=-1).max()))
-
-
 def _separation_step(a: AabbTree, b: AabbTree, radius: float) -> float | None:
-    """None when disjoint; otherwise a positive slide distance that
-    clears the overlap: proxy penetration depth plus a hair of margin.
+    """None when no point lies strictly inside the other cloud's proxy
+    volume; otherwise a positive slide distance that clears the
+    overlap: proxy penetration depth plus a hair of margin.
 
-    Deliberately NOT the interlock extent penetration_distance reports;
-    extent-sized slides over-separate banded contacts by millimetres and
-    fight the gap constraint."""
+    Deliberately not the interlock extent (the farthest interlocking
+    pair); extent-sized slides over-separate banded contacts by
+    millimetres and fight the gap constraint."""
     mask_a, _, d_min = interlock_masks(a, b, radius)
     if not mask_a.any():
         return None
@@ -180,8 +149,7 @@ def _mesial_neighbor(jaw: Jaw, tooth_id: int) -> Tooth | None:
     """Adjacent present tooth on the midline side of tooth_id."""
     ids = sorted(t.id for t in jaw.present_teeth())
     pos = ids.index(tooth_id)
-    mid = 8.5 if tooth_id <= 16 else 24.5
-    if tooth_id < mid:
+    if tooth_id < midline(tooth_id):
         return jaw.get(ids[pos + 1]) if pos + 1 < len(ids) else None
     return jaw.get(ids[pos - 1]) if pos > 0 else None
 
@@ -214,6 +182,16 @@ def _pull_to_arch(teeth: list[Tooth], arch: ArchLine, lo: float, hi: float) -> l
     return totals
 
 
+def _slide(tooth: Tooth, arch: ArchLine, delta: float) -> float:
+    """Slides tooth by delta mm of arc along the arch, positive away
+    from the midline (see ArchLine.move_along). Returns the distance
+    its centroid moved."""
+    c = tooth.centroid()
+    vec = arch.move_along(c, delta) - c
+    _translate(tooth, vec)
+    return float(np.linalg.norm(vec))
+
+
 def _close_gap(tooth: Tooth, mesial: Tooth, arch: ArchLine, threshold: float, clouds: _Clouds) -> float:
     """Slides tooth toward the midline along the arch until its gap to
     the mesial neighbor is at most threshold. Returns total slide."""
@@ -222,18 +200,20 @@ def _close_gap(tooth: Tooth, mesial: Tooth, arch: ArchLine, threshold: float, cl
         gap = _gap(tooth, mesial, clouds)
         if gap <= threshold:
             break
-        delta = -(gap - (threshold - _SLACK))
-        c = tooth.centroid()
-        vec = arch.move_along(c, delta, extend=True) - c
-        _translate(tooth, vec)
-        total += float(np.linalg.norm(vec))
+        total += _slide(tooth, arch, -(gap - (threshold - _SLACK)))
     return total
 
 
-def _regularize(jaw: Jaw, arch: ArchLine, config: AugmentConfig, clouds: _Clouds) -> None:
-    """jaw_regularize, in place. Each pass pulls every tooth, then
-    closes the gaps center-out; ``shifted`` adds the moves up in the
-    order of pulling and closing tooth by tooth (see the module doc)."""
+def jaw_regularize(jaw: Jaw, arch: ArchLine, config: AugmentConfig, clouds: _Clouds | None = None) -> None:
+    """Center-out constraint pass, in place, repeated to a fixed point:
+    arch distances into range, then each tooth's gap to its mesial
+    neighbor closed. The most central tooth anchors the traversal (it
+    is never slid). Each pass pulls every tooth, then closes the gaps;
+    ``shifted`` adds the moves up in the order of pulling and closing
+    tooth by tooth (see the module doc). ``clouds`` is as in
+    detect_collisions."""
+    config.validate()
+    clouds = _Clouds() if clouds is None else clouds
     lo, hi = config.arch_dist_range
     order = _center_out(jaw.present_teeth())
     for _ in range(_REGULARIZE_PASSES):
@@ -250,28 +230,18 @@ def _regularize(jaw: Jaw, arch: ArchLine, config: AugmentConfig, clouds: _Clouds
             break
 
 
-def jaw_regularize(jaw: Jaw, arch: ArchLine, config: AugmentConfig) -> Jaw:
-    """Center-out constraint pass, repeated to a fixed point: arch
-    distances into range, then each tooth's gap to its mesial neighbor
-    closed. The most central tooth anchors the traversal (it is never
-    slid). Pure; the input jaw is left untouched."""
+def resolve_collisions_verbose(
+    jaw: Jaw, arch: ArchLine, config: AugmentConfig, clouds: _Clouds | None = None
+) -> int:
+    """Iteratively separates colliding pairs, in place, by sliding the
+    tooth farther from the midline outward along the arch; returns the
+    number of iterations used. ``clouds`` is as in detect_collisions.
+
+    Raises CollisionUnresolved when max_collision_iters passes still
+    leave a collision.
+    """
     config.validate()
-    out = jaw.copy()
-    _regularize(out, arch, config, _Clouds())
-    for tooth in out.present_teeth():
-        _refresh_moved(tooth, jaw.get(tooth.id))
-    return out
-
-
-def _refresh_moved(tooth: Tooth, before: Tooth | None) -> None:
-    if tooth.gt_points is not None:
-        tooth.moved = not np.array_equal(tooth.points, tooth.gt_points)
-    elif before is not None and not np.array_equal(tooth.points, before.points):
-        tooth.moved = True
-
-
-def _resolve(jaw: Jaw, arch: ArchLine, config: AugmentConfig, clouds: _Clouds) -> int:
-    """resolve_collisions_verbose, in place; returns the iterations."""
+    clouds = _Clouds() if clouds is None else clouds
     for iteration in range(config.max_collision_iters + 1):
         pairs = detect_collisions(jaw, clouds)
         if not pairs:
@@ -281,31 +251,11 @@ def _resolve(jaw: Jaw, arch: ArchLine, config: AugmentConfig, clouds: _Clouds) -
         for id_a, id_b, step in pairs:
             a, b = jaw.get(id_a), jaw.get(id_b)
             mover = max(a, b, key=lambda t: (midline_offset(t.id), t.id))
-            c = mover.centroid()
-            vec = arch.move_along(c, step, extend=True) - c
-            _translate(mover, vec)
+            _slide(mover, arch, step)
     remaining = ", ".join(f"{a}-{b} (needs {step:.3f} mm)" for a, b, step in pairs)
     raise CollisionUnresolved(
         f"collisions remain after {config.max_collision_iters} iterations: teeth {remaining}"
     )
-
-
-def resolve_collisions_verbose(
-    jaw: Jaw, arch: ArchLine, config: AugmentConfig
-) -> tuple[Jaw, int]:
-    """Iteratively separates colliding pairs by sliding the tooth
-    farther from the midline outward along the arch; returns the
-    collision-free jaw and the number of iterations used. Pure.
-
-    Raises CollisionUnresolved when max_collision_iters passes still
-    leave a collision.
-    """
-    config.validate()
-    out = jaw.copy()
-    iterations = _resolve(out, arch, config, _Clouds())
-    for tooth in out.present_teeth():
-        _refresh_moved(tooth, jaw.get(tooth.id))
-    return out, iterations
 
 
 # ------------------------------------------------------------ case drivers
@@ -357,11 +307,7 @@ def _jaw_entry(
     nothing broke, no pair collides and no recovered rotation exceeds
     rot_range."""
     teeth = jaw.present_teeth()
-    angles = [
-        np.rad2deg(kabsch_recover(t.gt_points, t.points).angle())
-        for t in teeth
-        if t.gt_points is not None
-    ]
+    angles = [np.rad2deg(_recovered_angle(t)) for t in teeth if t.gt_points is not None]
     max_angle = max(angles, default=0.0)
     return {
         "teeth": len(teeth),
@@ -371,6 +317,13 @@ def _jaw_entry(
         "max_angle_deg": max_angle,
         "satisfied": bool(not broken and collisions == 0 and max_angle <= config.rot_range + 1e-9),
     }
+
+
+def _recovered_angle(tooth: Tooth) -> float:
+    try:
+        return kabsch_recover(tooth.gt_points, tooth.points).angle()
+    except DegenerateCloud as exc:
+        raise DegenerateCloud(f"tooth {tooth.id}: {exc}") from exc
 
 
 def _report(case_id: str, jaws: dict[str, dict]) -> dict:
@@ -406,11 +359,11 @@ def constrained_augment_case_report(
     constraint report.
 
     Per jaw: fit the arch to target centers, displace each tooth
-    (center-out order, per-tooth derived seeds), then alternate
-    regularization and collision resolution until both families of
-    constraints hold. Targets pass through bit-identical. The report is
-    the last joint round's measurement, which check_constraints would
-    repeat on the same arch and geometry.
+    (per-tooth derived seeds), then alternate regularization and
+    collision resolution until both families of constraints hold.
+    Targets pass through bit-identical. The report is the last joint
+    round's measurement, which check_constraints would repeat on the
+    same arch and geometry.
     """
     config = config or AugmentConfig()
     config.validate()
@@ -421,19 +374,19 @@ def constrained_augment_case_report(
     for side in ("upper", "lower"):
         working = _gt_jaw(out.jaw(side))
         arch = fit_arch_line(working)
-        for tooth in _center_out(working.present_teeth()):
+        for tooth in working.present_teeth():
             t = perturb_tooth(tooth, derive_seed(seed, "perturb", out.id, tooth.id), config)
             tooth.points = t.apply(tooth.points)
         total_iters = 0
         for _ in range(_JOINT_ROUNDS):
-            _regularize(working, arch, config, clouds)
-            total_iters += _resolve(working, arch, config, clouds)
+            jaw_regularize(working, arch, config, clouds)
+            total_iters += resolve_collisions_verbose(working, arch, config, clouds)
             gap, dist, broken = _measure(working, arch, config, clouds)
             if not broken:
                 break
         else:
             raise ConstraintViolation(f"jaw {side}: after {_JOINT_ROUNDS} joint rounds, {broken}")
-        # _resolve returns only on a collision-free jaw
+        # resolve_collisions_verbose returns only on a collision-free jaw
         jaws[side] = _jaw_entry(working, gap, dist, broken, 0, config)
         iterations[side] = total_iters
         target = out.jaw(side)

@@ -54,14 +54,16 @@ def jaw_of_id(tooth_id: int) -> str:
     return "upper" if tooth_id <= 16 else "lower"
 
 
-def midline_offset(tooth_id: int) -> float:
-    """Anatomical distance from the jaw midline, in tooth positions.
+def midline(tooth_id: int) -> float:
+    """The midline of the tooth's jaw, in id units: it sits between the
+    two central incisors (ids 8|9 upper, 24|25 lower)."""
+    return 8.5 if tooth_id <= 16 else 24.5
 
-    The midline sits between the two central incisors (ids 8|9 upper,
-    24|25 lower), so the central incisors score 0.5 and third molars 7.5.
-    """
-    mid = 8.5 if tooth_id <= 16 else 24.5
-    return abs(tooth_id - mid)
+
+def midline_offset(tooth_id: int) -> float:
+    """Anatomical distance from the jaw midline, in tooth positions:
+    the central incisors score 0.5 and third molars 7.5."""
+    return abs(tooth_id - midline(tooth_id))
 
 
 @dataclass

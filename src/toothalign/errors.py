@@ -87,16 +87,8 @@ class CoincidentKnots(ComputationError):
     """Two consecutive arch knots (tooth centroids) coincide."""
 
 
-class ArchOverrun(ComputationError):
-    """An arc-length shift left the domain of the arch curve."""
-
-
 class CollisionUnresolved(ComputationError):
     """The collision-resolution loop hit its iteration cap."""
-
-
-class NoCollision(ComputationError):
-    """Penetration distance was requested for disjoint teeth."""
 
 
 class ConstraintViolation(ComputationError):

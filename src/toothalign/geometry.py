@@ -202,6 +202,24 @@ class RigidTransform:
         return quat_rotation_angle(self.rotation)
 
 
+def random_rigid(rng, max_angle: float, trans_mu: float, trans_sigma: float, pivot) -> RigidTransform:
+    """Random displacement about ``pivot``: rotation angle uniform in
+    +-max_angle radians about a uniformly random axis, translation
+    components i.i.d. Normal(trans_mu, trans_sigma).
+
+    The draws come in a fixed order (axis, angle, translation), so the
+    same rng state gives the same transform. A zero angle gives the
+    exact identity rotation.
+    """
+    axis = rng.normal(size=3)
+    while np.linalg.norm(axis) < 1e-12:
+        axis = rng.normal(size=3)
+    angle = rng.uniform(-max_angle, max_angle)
+    trans = rng.normal(trans_mu, trans_sigma, size=3)
+    rotation = quat_from_axis_angle(axis, angle) if angle else quat_identity()
+    return RigidTransform(rotation, trans, pivot)
+
+
 # -------------------------------------------------------- rigid registration
 
 def kabsch_recover(src, dst) -> RigidTransform:

@@ -24,7 +24,7 @@ from .bvh import AabbTree, interlock_masks, nearest_distances
 from .case import ANTERIOR_IDS, Case, Jaw, Tooth, jaw_of_id
 from .config import LossWeights
 from .errors import CorrespondenceMismatch, DegenerateAxis
-from .geometry import RigidTransform
+from .geometry import RigidTransform, quat_to_matrix
 from .metrics import residual_transforms
 
 
@@ -95,13 +95,7 @@ def _rotation_with_partials(q: np.ndarray):
     if n < 1e-12:
         raise ValueError("zero quaternion in loss evaluation")
     w, x, y, z = qh = q / n
-    rot = np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
+    rot = quat_to_matrix(q)
     d_unit = np.array(
         [
             [[0, -z, y], [z, 0, -x], [-y, x, 0]],
@@ -334,7 +328,7 @@ def _incisal_peak(tooth: Tooth) -> np.ndarray:
     """Extreme point along the occlusal direction: max z for lower
     teeth, min z for upper teeth."""
     z = tooth.points[:, 2]
-    idx = int(np.argmax(z)) if tooth.id > 16 else int(np.argmin(z))
+    idx = int(np.argmax(z)) if jaw_of_id(tooth.id) == "lower" else int(np.argmin(z))
     return tooth.points[idx]
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .case import Case
-from .errors import CorrespondenceMismatch, InvalidArgument
+from .errors import CorrespondenceMismatch, DegenerateCloud, InvalidArgument
 from .geometry import RigidTransform, kabsch_recover, rotation_angle_between
 
 CURVE_SAMPLES = 257
@@ -115,10 +115,13 @@ def residual_transforms(pred_case: Case, gt_case: Case) -> dict[int, RigidTransf
     gt_teeth = {t.id: t for t in gt_case.present_teeth() if t.moved}
     if set(pred_teeth) != set(gt_teeth):
         raise CorrespondenceMismatch("moved-tooth sets differ")
-    return {
-        tid: kabsch_recover(pred_teeth[tid].points, gt_teeth[tid].points)
-        for tid in sorted(pred_teeth)
-    }
+    out = {}
+    for tid in sorted(pred_teeth):
+        try:
+            out[tid] = kabsch_recover(pred_teeth[tid].points, gt_teeth[tid].points)
+        except DegenerateCloud as exc:
+            raise DegenerateCloud(f"tooth {tid}: {exc}") from exc
+    return out
 
 
 def case_metrics(pred_case: Case, gt_case: Case, k: float = 5.0) -> dict:

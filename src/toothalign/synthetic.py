@@ -17,7 +17,7 @@ import numpy as np
 from .bvh import AabbTree, cloud_gap
 from .case import Case, Jaw, Tooth
 from .errors import ConfigError, InfeasibleParams
-from .geometry import RigidTransform, quat_from_axis_angle
+from .geometry import RigidTransform, random_rigid
 
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 
@@ -180,21 +180,7 @@ def _perturb_teeth(jaw: Jaw, params: SynthParams, rng) -> dict[int, RigidTransfo
     transforms: dict[int, RigidTransform] = {}
     rot_max = np.deg2rad(params.rot_max_deg)
     for tooth in sorted(jaw.teeth, key=lambda t: t.id):
-        axis = rng.normal(size=3)
-        while np.linalg.norm(axis) < 1e-9:
-            axis = rng.normal(size=3)
-        angle = float(rng.uniform(-rot_max, rot_max)) if rot_max > 0 else 0.0
-        trans = (
-            rng.normal(0.0, params.trans_sigma_mm, size=3)
-            if params.trans_sigma_mm > 0
-            else np.zeros(3)
-        )
-        quat = quat_from_axis_angle(axis, angle) if angle != 0.0 else None
-        t = RigidTransform(
-            quat if quat is not None else np.array([1.0, 0.0, 0.0, 0.0]),
-            trans,
-            tooth.gt_centroid(),
-        )
+        t = random_rigid(rng, rot_max, 0.0, params.trans_sigma_mm, tooth.gt_centroid())
         tooth.points = t.apply(tooth.gt_points)
         tooth.moved = not t.is_identity()
         transforms[tooth.id] = t

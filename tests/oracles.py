@@ -2,12 +2,15 @@
 
 Everything here is deliberately written the slow, obvious way (explicit
 loops, dense sampling, scipy KD-trees) and shares no code with the
-package internals beyond numpy itself, with three exceptions. The
+package internals beyond numpy itself, with four exceptions. The
 gradient checks and ``recon_loss_from_transforms`` wrap the package's
 per-tooth reconstruction term, whose analytic gradient they test
 against finite differences. ``pull_to_arch_one_by_one`` is the
 one-tooth, one-point pull loop that augmentation batches; it calls the
-package's arch projection one centroid at a time. The network
+package's arch projection one centroid at a time. The two perturbation
+samplers are the draws that ``geometry.random_rigid`` replaced; they
+build their transform with the package's quaternion and transform
+types. The network
 oracles reuse the package's window layout, masks and GELU, and keep the
 plain two-pass norm and full-grid masked path that the package's norm,
 attention and block must reproduce bit for bit.
@@ -20,6 +23,7 @@ from scipy.spatial import cKDTree
 
 from toothalign.config import LossWeights
 from toothalign.errors import CorrespondenceMismatch
+from toothalign.geometry import RigidTransform, quat_from_axis_angle
 from toothalign.losses import _moved_teeth, _recon_tooth
 from toothalign.swin import (
     HEADS,
@@ -223,6 +227,31 @@ def val_theta_fn(gt_transforms, weights=None, zeta=None):
         return value, grad
 
     return fn, 7 * len(ids)
+
+
+def augment_perturbation(rng, rot_range_deg, trans_mu, trans_sigma, pivot):
+    """The perturbation augmentation drew before the package had one
+    sampler: axis, then angle, then translation, the axis redrawn while
+    it is near zero."""
+    axis = rng.normal(size=3)
+    while np.linalg.norm(axis) < 1e-12:
+        axis = rng.normal(size=3)
+    angle = rng.uniform(-np.deg2rad(rot_range_deg), np.deg2rad(rot_range_deg))
+    trans = rng.normal(trans_mu, trans_sigma, size=3)
+    return RigidTransform(rotation=quat_from_axis_angle(axis, angle), translation=trans, pivot=pivot)
+
+
+def synthetic_perturbation(rng, rot_max_deg, trans_sigma_mm, pivot):
+    """The perturbation the generator drew before the package had one
+    sampler, for positive ranges: the draws of augment_perturbation at
+    a zero mean, with a float angle and a 1e-9 axis bound."""
+    axis = rng.normal(size=3)
+    while np.linalg.norm(axis) < 1e-9:
+        axis = rng.normal(size=3)
+    rot_max = np.deg2rad(rot_max_deg)
+    angle = float(rng.uniform(-rot_max, rot_max))
+    trans = rng.normal(0.0, trans_sigma_mm, size=3)
+    return RigidTransform(quat_from_axis_angle(axis, angle), trans, pivot)
 
 
 def maxwell_mean(sigma):

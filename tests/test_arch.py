@@ -14,7 +14,7 @@ from toothalign.arch import (
     serialize_points,
 )
 from toothalign.case import Tooth
-from toothalign.errors import ArchOverrun, CoincidentKnots, TooFewTeeth
+from toothalign.errors import CoincidentKnots, TooFewTeeth
 
 from oracles import dense_curve_distance, same_bits
 
@@ -162,13 +162,17 @@ def test_move_along_arc_amount(jaw_arch, rng):
         assert abs(abs(s1 - s0) - delta) < 1e-3
 
 
-def test_move_along_overrun_and_extension():
+def test_move_along_extends_past_both_ends(jaw_arch):
+    # past either end the curve continues straight along its end tangent
     arch = straight_arch()
-    end = np.array([8.0, 1.0, 0.0])
-    with pytest.raises(ArchOverrun):
-        arch.move_along(end, 5.0)
-    out = arch.move_along(end, 5.0, extend=True)
-    assert np.allclose(out, [13.0, 1.0, 0.0], atol=1e-6)
+    assert np.allclose(arch.move_along(np.array([8.0, 1.0, 0.0]), 5.0), [13.0, 1.0, 0.0], atol=1e-6)
+    assert np.allclose(arch.move_along(np.array([-8.0, 1.0, 0.0]), 5.0), [-13.0, 1.0, 0.0], atol=1e-6)
+    last = jaw_arch.knots.shape[0] - 1.0
+    for t_end, outward in ((0.0, -1.0), (last, 1.0)):
+        end = jaw_arch.point_at(t_end)
+        d = jaw_arch.tangent_at(t_end)
+        out = jaw_arch.move_along(end, 3.0)
+        assert np.allclose(out, end + outward * 3.0 * d / np.linalg.norm(d), atol=1e-5)
 
 
 # ------------------------------------------------------------ serialization

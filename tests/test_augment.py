@@ -15,19 +15,13 @@ from toothalign.augment import (
     detect_collisions,
     jaw_regularize,
     ordinary_augment,
-    penetration_distance,
     perturb_tooth,
     resolve_collisions_verbose,
 )
 from toothalign.bvh import AabbTree, cloud_gap
 from toothalign.case import Jaw, Tooth
 from toothalign.config import config_from_dict
-from toothalign.errors import (
-    CollisionUnresolved,
-    ConfigError,
-    ConstraintViolation,
-    NoCollision,
-)
+from toothalign.errors import CollisionUnresolved, ConfigError, ConstraintViolation
 from toothalign.seeding import derive_seed
 from toothalign.synthetic import SynthParams, generate_synthetic_case
 
@@ -128,26 +122,14 @@ def test_perturb_zero_ranges_is_identity(case7):
 
 # --------------------------------------------------------------- collision
 
-def test_penetration_two_point_analytic():
-    # interlocking pairs 0.3 apart; the extent is the far diagonal
-    a = _tooth(1, [[0.0, 0.0, 0.0], [0.7, 1.0, 1.0]])
-    b = _tooth(2, [[0.3, 0.0, 0.0], [1.0, 1.0, 1.0]])
-    assert penetration_distance(a, b) == pytest.approx(np.sqrt(3.0), abs=1e-12)
-
-
-def test_penetration_requires_contact():
-    a = _tooth(1, [[0.0, 0.0, 0.0]])
-    b = _tooth(2, [[5.0, 0.0, 0.0]])
-    with pytest.raises(NoCollision):
-        penetration_distance(a, b)
-
-
 def test_interlock_is_strict():
-    # exactly at the radius sum: no interlock
+    # exactly at the radius sum: no collision; a hair inside: one
     a = _tooth(1, [[0.0, 0.0, 0.0]])
     b = _tooth(2, [[0.5, 0.0, 0.0]])
-    with pytest.raises(NoCollision):
-        penetration_distance(a, b)
+    jaw = Jaw("upper", [a, b])
+    assert detect_collisions(jaw) == []
+    b.points = np.array([[0.4999, 0.0, 0.0]])
+    assert [(x, y) for x, y, _ in detect_collisions(jaw)] == [(1, 2)]
 
 
 def test_detect_collisions_matches_brute(rng):
@@ -211,26 +193,31 @@ def test_regularize_satisfies_both_families(corpus):
     for k, case in enumerate(corpus[:5]):
         jaw = _perturbed_jaw(case, "upper", 600 + k)
         arch = fit_arch_line(gt_view(case).upper)
-        reg = jaw_regularize(jaw, arch, config)
-        for _, _, gap in adjacent_gaps(reg):
+        jaw_regularize(jaw, arch, config)
+        for _, _, gap in adjacent_gaps(jaw):
             assert gap <= config.gap_threshold + 1e-9
-        for tooth in reg.present_teeth():
+        for tooth in jaw.present_teeth():
             d = abs(arch.signed_distance(tooth.centroid()))
             assert lo - 1e-9 <= d <= hi + 1e-9
 
 
-def test_regularize_is_pure_and_idempotent(corpus):
+def test_regularize_is_in_place_and_idempotent(corpus):
+    # the pass moves the jaw it is given, returns nothing and leaves
+    # the moved flags alone; a second pass barely moves anything
     case = corpus[3]
     jaw = _perturbed_jaw(case, "lower", 77)
+    jaw.teeth[3].points = jaw.teeth[3].points + np.array([0.0, 0.0, 4.0])  # off the arch
     before = [t.points.copy() for t in jaw.teeth]
+    flags = [t.moved for t in jaw.teeth]
     arch = fit_arch_line(gt_view(case).lower)
     config = AugmentConfig()
-    once = jaw_regularize(jaw, arch, config)
-    for t, snap in zip(jaw.teeth, before):
-        assert np.array_equal(t.points, snap)
-    twice = jaw_regularize(once, arch, config)
-    for a, b in zip(once.teeth, twice.teeth):
-        assert np.linalg.norm(a.points - b.points) < 1e-6
+    assert jaw_regularize(jaw, arch, config) is None
+    assert any(not np.array_equal(t.points, snap) for t, snap in zip(jaw.teeth, before))
+    assert [t.moved for t in jaw.teeth] == flags
+    once = [t.points for t in jaw.teeth]
+    jaw_regularize(jaw, arch, config)
+    for a, b in zip(once, jaw.teeth):
+        assert np.linalg.norm(a - b.points) < 1e-6
 
 
 def test_regularize_preserves_rotation(corpus):
@@ -244,8 +231,8 @@ def test_regularize_preserves_rotation(corpus):
         t.id: kabsch_recover(t.gt_points, t.points).angle()
         for t in jaw.present_teeth()
     }
-    reg = jaw_regularize(jaw, arch, AugmentConfig())
-    for t in reg.present_teeth():
+    jaw_regularize(jaw, arch, AugmentConfig())
+    for t in jaw.present_teeth():
         post = kabsch_recover(t.gt_points, t.points).angle()
         assert post == pytest.approx(pre[t.id], abs=1e-9)
 
@@ -294,7 +281,8 @@ def test_batched_pulls_leave_the_jaws_of_pulls_tooth_by_tooth(corpus, k, side, s
     for a, b in zip(batched.teeth, one_by_one.teeth):
         assert a.points is None or same_bits(a.points, b.points)
 
-    batched, one_by_one = jaw_regularize(jaw, arch, config), jaw.copy()
+    batched, one_by_one = jaw.copy(), jaw.copy()
+    jaw_regularize(batched, arch, config)
     _regularize_tooth_by_tooth(one_by_one, arch, config)
     for a, b in zip(batched.teeth, one_by_one.teeth):
         assert a.points is None or same_bits(a.points, b.points)
@@ -314,8 +302,8 @@ def test_resolve_clears_forced_overlap(corpus):
     direction /= np.linalg.norm(direction)
     b.points = b.points + (gap + 0.6) * direction
     assert detect_collisions(jaw)
-    fixed, iters = resolve_collisions_verbose(jaw, arch, AugmentConfig())
-    assert not detect_collisions(fixed)
+    iters = resolve_collisions_verbose(jaw, arch, AugmentConfig())
+    assert not detect_collisions(jaw)
     assert 1 <= iters <= 10
 
 
@@ -323,10 +311,10 @@ def test_resolve_noop_when_clear(corpus):
     case = corpus[6]
     jaw = gt_view(case).lower
     arch = fit_arch_line(jaw)
-    out, iters = resolve_collisions_verbose(jaw, arch, AugmentConfig())
-    assert iters == 0
-    for t_in, t_out in zip(jaw.teeth, out.teeth):
-        assert np.array_equal(t_in.points, t_out.points)
+    before = [t.points for t in jaw.teeth]
+    assert resolve_collisions_verbose(jaw, arch, AugmentConfig()) == 0
+    for snap, t in zip(before, jaw.teeth):
+        assert t.points is snap
 
 
 def test_resolve_gives_up_honestly(corpus):
@@ -373,6 +361,22 @@ def test_constraint_violation_names_the_worst_value(config, message):
     case = generate_synthetic_case(SynthParams(teeth_per_jaw=8), seed=1000, case_id="c000")
     with pytest.raises(ConstraintViolation, match=r"^jaw upper: after 4 joint rounds, " + message):
         constrained_augment_case_report(case, 3, config)
+
+
+def test_constrained_augment_runs_the_public_passes(monkeypatch):
+    """The joint loop runs jaw_regularize and resolve_collisions_verbose
+    themselves, once per joint round and jaw, on one clouds store."""
+    calls = {"jaw_regularize": [], "resolve_collisions_verbose": []}
+    for name, calls_of in calls.items():
+        def counting(jaw, arch, config, clouds=None, _pass=getattr(augment, name), _calls=calls_of):
+            _calls.append(clouds)
+            return _pass(jaw, arch, config, clouds)
+        monkeypatch.setattr(augment, name, counting)
+    case = generate_synthetic_case(SynthParams(teeth_per_jaw=8), seed=1000, case_id="c000")
+    constrained_augment_case_report(case, 3)
+    regularized, resolved = calls.values()
+    assert len(regularized) >= 2 and len(resolved) == len(regularized)
+    assert all(c is regularized[0] for c in regularized + resolved)
 
 
 def test_constrained_augment_deterministic(corpus):

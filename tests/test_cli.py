@@ -6,6 +6,7 @@ checked where the acceptance suite does not already cover it.
 """
 
 import json
+import re
 from pathlib import Path
 
 import jsonschema
@@ -506,6 +507,33 @@ def test_coincident_centroids_exit_2_with_one_log_line(mutate, capsys, caplog, t
         assert len(messages) == 1, argv
         assert messages[0].startswith("CoincidentKnots: upper jaw: teeth "), argv
     assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_collinear_clouds_exit_2_naming_a_tooth(capsys, caplog, tmp_path):
+    # every point on the x axis: no rigid registration is unique, and
+    # the error said so without naming the tooth
+    assert main(["gen", "--teeth", "10", "--seed", "0", "-o", str(tmp_path)]) == 0
+    gt = tmp_path / "synth0-000.case.json"
+    doc = json.loads(gt.read_text())
+    for t in doc["upper"] + doc["lower"]:
+        if t.get("points"):
+            t["points"] = [[p[0], 0.0, 0.0] for p in t["points"]]
+    (tmp_path / "case.json").write_text(json.dumps(doc))
+    case = str(tmp_path / "case.json")
+    for argv in (
+        ["augment", "--mode", "ordinary", "--in", case, "-o", str(tmp_path / "out.json")],
+        ["iterate", "-n", "1", "--in", case, "--gt", str(gt)],
+    ):
+        capsys.readouterr()
+        caplog.clear()
+        code, out = _run(capsys, argv)
+        assert code == 2 and out == "", argv
+        messages = [r.getMessage() for r in caplog.records]
+        assert len(messages) == 1, argv
+        assert re.fullmatch(
+            r"DegenerateCloud: tooth \d+: cloud is collinear or has no spatial extent", messages[0]
+        ), argv
 
 
 @pytest.mark.filterwarnings("error")

@@ -16,10 +16,17 @@ from toothalign.geometry import (
     quat_identity,
     quat_normalize,
     quat_to_matrix,
+    random_rigid,
     rotation_angle_between,
 )
 
-from oracles import brute_fps, quat_multiply
+from oracles import (
+    augment_perturbation,
+    brute_fps,
+    quat_multiply,
+    same_bits,
+    synthetic_perturbation,
+)
 
 
 # ------------------------------------------------------------- quaternions
@@ -92,6 +99,38 @@ def test_rotation_angle_between_double_cover():
 
 
 # -------------------------------------------------------- rigid transforms
+
+def _same_transform(a, b):
+    return all(same_bits(getattr(a, f), getattr(b, f)) for f in ("rotation", "translation", "pivot"))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.integers(0, 2**63 - 1),
+    st.floats(1e-6, 180.0),
+    st.floats(-2.0, 2.0),
+    st.floats(1e-6, 3.0),
+)
+def test_random_rigid_is_both_old_samplers(seed, range_deg, mu, sigma):
+    """The one sampler draws what augmentation and the generator each
+    drew before, bit for bit, and leaves the rng where they left it."""
+    pivot = np.array([1.5, -2.0, 0.25])
+    cases = [
+        (mu, lambda rng: augment_perturbation(rng, range_deg, mu, sigma, pivot)),
+        (0.0, lambda rng: synthetic_perturbation(rng, range_deg, sigma, pivot)),
+    ]
+    for mean, old in cases:
+        rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = random_rigid(rng_new, np.deg2rad(range_deg), mean, sigma, pivot)
+        assert _same_transform(got, old(rng_old))
+        assert rng_new.random() == rng_old.random()
+
+
+def test_random_rigid_zero_ranges_is_the_exact_identity():
+    t = random_rigid(np.random.default_rng(3), 0.0, 0.0, 0.0, np.zeros(3))
+    assert same_bits(t.rotation, quat_identity()) and same_bits(t.translation, np.zeros(3))
+    assert t.is_identity()
+
 
 def test_apply_transform_formula(rng):
     q = quat_from_axis_angle([0, 1, 0], 0.7)

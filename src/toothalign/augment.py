@@ -37,8 +37,9 @@ from .arch import ArchLine, fit_arch_line
 from .bvh import AabbTree, boxes_apart, cloud_gap, interlock_masks
 from .case import Case, Jaw, Tooth, midline, midline_offset
 from .config import AugmentConfig
-from .errors import CollisionUnresolved, ConstraintViolation, CorrespondenceMismatch, DegenerateCloud
-from .geometry import RigidTransform, kabsch_recover, random_rigid
+from .errors import CollisionUnresolved, ConstraintViolation, CorrespondenceMismatch
+from .geometry import RigidTransform, random_rigid
+from .metrics import recover_tooth
 from .seeding import derive_seed
 
 _REGULARIZE_PASSES = 8
@@ -212,7 +213,6 @@ def jaw_regularize(jaw: Jaw, arch: ArchLine, config: AugmentConfig, clouds: _Clo
     ``shifted`` adds the moves up in the order of pulling and closing
     tooth by tooth (see the module doc). ``clouds`` is as in
     detect_collisions."""
-    config.validate()
     clouds = _Clouds() if clouds is None else clouds
     lo, hi = config.arch_dist_range
     order = _center_out(jaw.present_teeth())
@@ -240,7 +240,6 @@ def resolve_collisions_verbose(
     Raises CollisionUnresolved when max_collision_iters passes still
     leave a collision.
     """
-    config.validate()
     clouds = _Clouds() if clouds is None else clouds
     for iteration in range(config.max_collision_iters + 1):
         pairs = detect_collisions(jaw, clouds)
@@ -307,8 +306,8 @@ def _jaw_entry(
     nothing broke, no pair collides and no recovered rotation exceeds
     rot_range."""
     teeth = jaw.present_teeth()
-    angles = [np.rad2deg(_recovered_angle(t)) for t in teeth if t.gt_points is not None]
-    max_angle = max(angles, default=0.0)
+    recovered = [recover_tooth(t.id, t.gt_points, t.points) for t in teeth if t.gt_points is not None]
+    max_angle = max((np.rad2deg(r.angle()) for r in recovered), default=0.0)
     return {
         "teeth": len(teeth),
         "collisions": collisions,
@@ -317,13 +316,6 @@ def _jaw_entry(
         "max_angle_deg": max_angle,
         "satisfied": bool(not broken and collisions == 0 and max_angle <= config.rot_range + 1e-9),
     }
-
-
-def _recovered_angle(tooth: Tooth) -> float:
-    try:
-        return kabsch_recover(tooth.gt_points, tooth.points).angle()
-    except DegenerateCloud as exc:
-        raise DegenerateCloud(f"tooth {tooth.id}: {exc}") from exc
 
 
 def _report(case_id: str, jaws: dict[str, dict]) -> dict:
@@ -366,7 +358,6 @@ def constrained_augment_case_report(
     same arch and geometry.
     """
     config = config or AugmentConfig()
-    config.validate()
     out = gt_case.copy()
     jaws: dict[str, dict] = {}
     iterations: dict[str, int] = {}
@@ -404,7 +395,6 @@ def ordinary_augment(case: Case, seed: int, config: AugmentConfig | None = None)
     current (pre-treatment) geometry of every present tooth is
     displaced; targets are never touched."""
     config = config or AugmentConfig()
-    config.validate()
     out = case.copy()
     rng = np.random.default_rng(derive_seed(seed, "ordinary-trigger", out.id))
     if rng.random() >= config.ordinary_prob:

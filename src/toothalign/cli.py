@@ -9,6 +9,7 @@ invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import sys
 from pathlib import Path
@@ -27,13 +28,12 @@ from .case import (
 from .config import Config, load_config
 from .errors import (
     ComputationError,
-    ConfigError,
     InsufficientPoints,
     InvalidArgument,
     ValidationError,
 )
 from .geometry import fps_sample
-from .metrics import evaluate_cases, iteration_metrics
+from .metrics import K_MM, evaluate_cases, iteration_metrics
 from .seeding import derive_seed
 
 # Import rule: modules that load scipy (augment, losses, synthetic, swin)
@@ -55,19 +55,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_config(args) -> Config:
-    return load_config(args.config) if args.config else Config()
+    """The --config file (or the defaults) with --seed and --ordering
+    applied, so that Config checks flags and file values alike."""
+    config = load_config(args.config) if args.config else Config()
+    flags = {name: getattr(args, name, None) for name in ("seed", "ordering")}
+    return dataclasses.replace(config, **{k: v for k, v in flags.items() if v is not None})
 
 
-def _seed(args, config: Config) -> int:
-    seed = args.seed if args.seed is not None else config.seed
-    if seed < 0:
-        raise ConfigError("seed must be nonnegative")
-    return seed
-
-
-def _image(case, ordering: str, seed: int):
+def _image(case, config: Config):
     """The case's tooth point image, as serialize and forward build it."""
-    return build_tooth_point_image(case, ordering, derive_seed(seed, "serialize", case.id))
+    return build_tooth_point_image(case, config.ordering, derive_seed(config.seed, "serialize", case.id))
 
 
 # ------------------------------------------------------------ subcommands
@@ -75,8 +72,7 @@ def _image(case, ordering: str, seed: int):
 def _cmd_gen(args) -> dict:
     from .synthetic import SynthParams, generate_synthetic_case
 
-    config = _load_config(args)
-    seed = _seed(args, config)
+    seed = _load_config(args).seed
     if args.cases < 1:
         raise InvalidArgument(f"--cases must be at least 1, got {args.cases}")
     params = SynthParams() if args.teeth is None else SynthParams(teeth_per_jaw=args.teeth)
@@ -116,13 +112,11 @@ def _cmd_sample(args) -> dict:
 
 def _cmd_serialize(args) -> dict:
     config = _load_config(args)
-    seed = _seed(args, config)
-    ordering = args.ordering or config.ordering
     case = load_case(args.infile)
-    tpi = _image(case, ordering, seed)
+    tpi = _image(case, config)
     payload = {
         "case_id": case.id,
-        "ordering": ordering,
+        "ordering": config.ordering,
         "presence": [bool(p) for p in tpi.presence],
         "data": tpi.data.tolist(),
     }
@@ -151,13 +145,12 @@ def _cmd_augment(args) -> dict:
     from .augment import check_constraints, constrained_augment_case_report, ordinary_augment
 
     config = _load_config(args)
-    seed = _seed(args, config)
     aug = config.augment
     case = load_case(args.infile)
     if args.mode == "constrained":
-        out_case, report = constrained_augment_case_report(case, seed, aug)
+        out_case, report = constrained_augment_case_report(case, config.seed, aug)
     else:
-        out_case = ordinary_augment(case, seed, aug)
+        out_case = ordinary_augment(case, config.seed, aug)
         report = check_constraints(out_case, aug)
     save_case(out_case, args.out)
     log.info("augmented %s -> %s (%s)", args.infile, args.out, args.mode)
@@ -181,15 +174,13 @@ def _cmd_forward(args) -> dict:
     from .swin import init_weights, predict_transforms
 
     config = _load_config(args)
-    seed = _seed(args, config)
-    ordering = args.ordering or config.ordering
     case = load_case(args.infile)
-    weights = init_weights(derive_seed(seed, "weights"))
-    transforms = predict_transforms(_image(case, ordering, seed), tooth_centers(case), weights)
+    weights = init_weights(derive_seed(config.seed, "weights"))
+    transforms = predict_transforms(_image(case, config), tooth_centers(case), weights)
     return {
         "case_id": case.id,
-        "seed": seed,
-        "ordering": ordering,
+        "seed": config.seed,
+        "ordering": config.ordering,
         "transforms": {
             str(tid): {
                 "rotation": t.rotation.tolist(),
@@ -230,14 +221,13 @@ def _cmd_iterate(args) -> dict:
     from .swin import init_weights, predict_case
 
     config = _load_config(args)
-    seed = _seed(args, config)
-    ordering = args.ordering or config.ordering
     case = load_case(args.infile)
     gt = load_case(args.gt)
-    weights = init_weights(derive_seed(seed, "weights"))
+    weights = init_weights(derive_seed(config.seed, "weights"))
 
     def model(c):
-        return predict_case(c, weights, ordering=ordering, seed=derive_seed(seed, "serialize", c.id))
+        seed = derive_seed(config.seed, "serialize", c.id)
+        return predict_case(c, weights, ordering=config.ordering, seed=seed)
 
     rows = iteration_metrics(model, case, gt, args.n, k=args.k)
     return {"case_id": case.id, "n": args.n, "k_mm": float(args.k), "iterations": rows}
@@ -307,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("eval", help="metric report over prediction/target directories")
     p.add_argument("--pred-dir", required=True)
     p.add_argument("--gt-dir", required=True)
-    p.add_argument("--k", type=float, default=5.0, help="CDF integration bound, mm")
+    p.add_argument("--k", type=float, default=K_MM, help="CDF integration bound, mm")
     p.set_defaults(func=_cmd_eval)
 
     p = subs.add_parser("iterate", help="repeated prediction metric table")
@@ -316,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gt", required=True)
     p.add_argument("-n", type=int, default=4, help="iterations")
     p.add_argument("--ordering", choices=ORDERING_MODES, default=None)
-    p.add_argument("--k", type=float, default=5.0)
+    p.add_argument("--k", type=float, default=K_MM)
     p.set_defaults(func=_cmd_iterate)
 
     return parser

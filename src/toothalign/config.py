@@ -2,7 +2,9 @@
 weights, serialization, and the master seed.
 
 Unknown keys and values of the wrong type are rejected at every level,
-so a typo cannot silently fall back to a default. Environment variables
+so a typo cannot silently fall back to a default. Every section checks
+its ranges when it is built, so an out-of-range setting cannot exist;
+each raises ConfigError. Environment variables
 are never consulted. The augmentation and loss sections are defined
 here, so reading a config loads neither the augmentation nor the loss
 code.
@@ -30,7 +32,7 @@ class AugmentConfig:
     ordinary_prob: float = 0.62
     max_collision_iters: int = 10
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.rot_range < 0 or self.trans_sigma < 0 or self.gap_threshold < 0:
             raise ConfigError("augmentation ranges must be nonnegative")
         lo, hi = self.arch_dist_range
@@ -54,13 +56,13 @@ class LossWeights:
     max_angle: float = float(np.pi / 2.0)  # enhancement normalizer, rad
     max_translation: float = 4.5  # enhancement normalizer, mm
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         vals = (*self.delta, self.omega, self.w_posterior, self.omega_anterior,
                 self.tau, self.max_angle, self.max_translation)
         if any(v < 0 for v in vals):
-            raise ValueError("loss weights must be nonnegative")
+            raise ConfigError("loss weights must be nonnegative")
         if self.tau <= 0:
-            raise ValueError("tau must be positive")
+            raise ConfigError("tau must be positive")
 
 
 @dataclass(frozen=True)
@@ -71,18 +73,13 @@ class Config:
     augment: AugmentConfig = field(default_factory=AugmentConfig)
     loss: LossWeights = field(default_factory=LossWeights)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
         if self.ordering not in ORDERING_MODES:
             raise ConfigError(f"ordering must be one of {sorted(ORDERING_MODES)}")
         if self.points_per_tooth < 1:
             raise ConfigError("points_per_tooth must be positive")
-        self.augment.validate()
-        try:
-            self.loss.validate()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
 
 
 def _checked(name: str, value, default, context: str):
@@ -126,9 +123,7 @@ def config_from_dict(data: dict) -> Config:
         if not isinstance(section, dict):
             raise ConfigError(f"the {name} section must be an object")
         sections[name] = _build(cls, section, name)
-    config = _build(Config, data, "config", **sections)
-    config.validate()
-    return config
+    return _build(Config, data, "config", **sections)
 
 
 def load_config(path: str) -> Config:

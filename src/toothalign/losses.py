@@ -16,7 +16,7 @@ Conventions shared by every function here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .case import ANTERIOR_IDS, Case, Jaw, Tooth, jaw_of_id
 from .config import LossWeights
 from .errors import CorrespondenceMismatch, DegenerateAxis
 from .geometry import RigidTransform, quat_to_matrix
-from .metrics import residual_transforms
+from .metrics import moved_teeth, paired_moved, residual_transforms
 
 
 @dataclass
@@ -39,51 +39,15 @@ class LossBreakdown:
     l_uni_pior: float
     l_uni: float
     total: float
-    gradients: dict[str, dict[int, np.ndarray]] | None = field(default=None, repr=False)
+    gradients: dict[str, dict[int, np.ndarray]] = field(repr=False)
 
-    def to_dict(self, include_gradients: bool = True) -> dict:
-        out = {
-            "l_recon": self.l_recon,
-            "l_rotate": self.l_rotate,
-            "l_trans": self.l_trans,
-            "l_val": self.l_val,
-            "l_fit": self.l_fit,
-            "l_uni_ant": self.l_uni_ant,
-            "l_uni_pior": self.l_uni_pior,
-            "l_uni": self.l_uni,
-            "total": self.total,
+    def to_dict(self) -> dict:
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "gradients"}
+        out["gradients"] = {
+            term: {str(tid): g.tolist() for tid, g in sorted(per.items())}
+            for term, per in sorted(self.gradients.items())
         }
-        if include_gradients and self.gradients is not None:
-            out["gradients"] = {
-                term: {str(tid): g.tolist() for tid, g in sorted(per.items())}
-                for term, per in sorted(self.gradients.items())
-            }
         return out
-
-
-# ----------------------------------------------------------- tooth pairing
-
-def _moved_teeth(case: Case) -> list[Tooth]:
-    return sorted(
-        (t for t in case.all_teeth() if t.present and t.moved), key=lambda t: t.id
-    )
-
-
-def _paired_moved(pred: Case, gt: Case) -> list[tuple[Tooth, Tooth]]:
-    pred_ids = [t.id for t in _moved_teeth(pred)]
-    gt_ids = [t.id for t in _moved_teeth(gt)]
-    if pred_ids != gt_ids:
-        raise CorrespondenceMismatch(
-            f"moved-tooth sets differ: {pred_ids} vs {gt_ids}"
-        )
-    pairs = []
-    for tid in pred_ids:
-        a = pred.tooth(tid)
-        b = gt.tooth(tid)
-        if a.points.shape != b.points.shape:
-            raise CorrespondenceMismatch(f"tooth {tid}: point counts differ")
-        pairs.append((a, b))
-    return pairs
 
 
 # -------------------------------------------------------- rotation algebra
@@ -149,7 +113,7 @@ def recon_loss(pred_case: Case, gt_case: Case) -> tuple[float, dict[int, np.ndar
     grads: dict[int, np.ndarray] = {}
     identity_q = np.array([1.0, 0.0, 0.0, 0.0])
     zero_t = np.zeros(3)
-    for a, b in _paired_moved(pred_case, gt_case):
+    for a, b in paired_moved(pred_case, gt_case):
         v, g = _recon_tooth(a.points, b.points, identity_q, zero_t, a.centroid())
         value += v
         grads[a.id] = g
@@ -217,7 +181,7 @@ def _xy_boxes(teeth) -> dict[int, tuple[np.ndarray, np.ndarray]]:
 
 
 def opposing_region(
-    tooth: Tooth, opposing_jaw: Jaw, tau: float = 0.07, boxes: dict | None = None
+    tooth: Tooth, opposing_jaw: Jaw, tau: float = LossWeights.tau, boxes: dict | None = None
 ) -> list[Tooth]:
     """Opposing-jaw teeth whose tau-dilated projected boxes meet the
     tooth's projected box. Never misses a tooth holding a point within
@@ -242,7 +206,7 @@ def region_points(region: list[Tooth]) -> np.ndarray:
 
 
 def occlusal_overlap_mask(
-    tooth: Tooth, region: list[Tooth], tau: float = 0.07, contacts: dict | None = None
+    tooth: Tooth, region: list[Tooth], tau: float = LossWeights.tau, contacts: dict | None = None
 ) -> np.ndarray:
     """Binary flags: a tooth point is set iff its projected distance to
     the opposing region is strictly below tau. Empty region: all zero.
@@ -260,27 +224,27 @@ def occlusal_overlap_mask(
     return mask_t
 
 
-def occlusal_contacts(case: Case, tau: float = 0.07) -> dict[int, tuple]:
+def occlusal_contacts(case: Case, tau: float = LossWeights.tau) -> dict[int, tuple]:
     """The contacts (see occlusal_overlap_mask) of every moved tooth of
     the case whose opposing region is nonempty, from one projected box
     per tooth. overlap_consistency_loss and posterior_uniformity_loss
     share them."""
     boxes = _xy_boxes(case.present_teeth())
     contacts: dict[int, tuple] = {}
-    for tooth in _moved_teeth(case):
+    for tooth in moved_teeth(case):
         region = opposing_region(tooth, case.opposing_jaw(jaw_of_id(tooth.id)), tau, boxes)
         occlusal_overlap_mask(tooth, region, tau, contacts)
     return contacts
 
 
 def overlap_consistency_loss(
-    pred_case: Case, gt_case: Case, tau: float = 0.07, pred_contacts: dict | None = None
+    pred_case: Case, gt_case: Case, tau: float = LossWeights.tau, pred_contacts: dict | None = None
 ) -> float:
     """Average Hamming distance between predicted and target overlap
     masks, over moved teeth whose opposing region is nonempty in either
     case; 0.0 when no tooth qualifies. ``pred_contacts`` are the
     prediction's occlusal_contacts when the caller has them."""
-    pairs = _paired_moved(pred_case, gt_case)
+    pairs = paired_moved(pred_case, gt_case)
     if pred_contacts is None:
         pred_contacts = occlusal_contacts(pred_case, tau)
     gt_contacts = occlusal_contacts(gt_case, tau)
@@ -297,7 +261,9 @@ def overlap_consistency_loss(
 
 # ------------------------------------------------------ uniformity losses
 
-def posterior_uniformity_loss(pred_case: Case, tau: float = 0.07, contacts: dict | None = None) -> float:
+def posterior_uniformity_loss(
+    pred_case: Case, tau: float = LossWeights.tau, contacts: dict | None = None
+) -> float:
     """Sum over posterior teeth of the population variance of in-mask
     occlusal contact distances.
 
@@ -313,7 +279,7 @@ def posterior_uniformity_loss(pred_case: Case, tau: float = 0.07, contacts: dict
     if contacts is None:
         contacts = occlusal_contacts(pred_case, tau)
     value = 0.0
-    for tooth in _moved_teeth(pred_case):
+    for tooth in moved_teeth(pred_case):
         if tooth.id in ANTERIOR_IDS or tooth.id not in contacts:
             continue
         mask_t, b, mask_b = contacts[tooth.id]
@@ -333,7 +299,7 @@ def _incisal_peak(tooth: Tooth) -> np.ndarray:
 
 
 def anterior_uniformity_parts(
-    pred_case: Case, gt_case: Case, omega_ant: float = float(1.0 / np.pi)
+    pred_case: Case, gt_case: Case, omega_ant: float = LossWeights.omega_anterior
 ) -> tuple[float, float, float]:
     """(total, positional part, angular part) of the anterior term.
 
@@ -343,7 +309,7 @@ def anterior_uniformity_parts(
     """
     l_pos = 0.0
     l_ang = 0.0
-    for a, b in _paired_moved(pred_case, gt_case):
+    for a, b in paired_moved(pred_case, gt_case):
         if a.id not in ANTERIOR_IDS:
             continue
         ca, cb = a.centroid(), b.centroid()
@@ -376,7 +342,6 @@ def total_loss(
     factors derive from those residuals; ``test_mode`` pins them to 1.
     """
     w = weights or LossWeights()
-    w.validate()
     l_recon, g_recon = recon_loss(pred_case, gt_case)
     gt_t = residual_transforms(pred_case, gt_case)
     pred_t = {

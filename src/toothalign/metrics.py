@@ -12,11 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .case import Case
+from .case import Case, Tooth
 from .errors import CorrespondenceMismatch, DegenerateCloud, InvalidArgument
 from .geometry import RigidTransform, kabsch_recover, rotation_angle_between
 
 CURVE_SAMPLES = 257
+K_MM = 5.0  # default CDF integration bound, mm
 
 
 @dataclass(frozen=True)
@@ -25,7 +26,7 @@ class AddCurve:
 
     thresholds: np.ndarray
     fractions: np.ndarray
-    k: float = 5.0
+    k: float
 
     def to_dict(self) -> dict:
         return {
@@ -58,7 +59,7 @@ def _check_k(k: float) -> None:
         raise InvalidArgument(f"k must be positive and finite, got {k}")
 
 
-def auc(distances, k: float = 5.0) -> float:
+def auc(distances, k: float = K_MM) -> float:
     """Exact area under the distance CDF over [0, k], divided by k.
 
     Each distance d contributes max(0, k - d) / (n * k); equivalently
@@ -72,9 +73,9 @@ def auc(distances, k: float = 5.0) -> float:
     return float(np.clip(k - d, 0.0, k).mean() / k)
 
 
-def add_curve(distances, k: float = 5.0, samples: int = CURVE_SAMPLES) -> AddCurve:
+def add_curve(distances, k: float = K_MM) -> AddCurve:
     d = np.asarray(distances, dtype=float)
-    thresholds = np.linspace(0.0, k, samples)
+    thresholds = np.linspace(0.0, k, CURVE_SAMPLES)
     fractions = (d[None, :] <= thresholds[:, None]).mean(axis=1)
     return AddCurve(thresholds=thresholds, fractions=fractions, k=float(k))
 
@@ -108,23 +109,42 @@ def me_translate(pred_t: dict[int, RigidTransform], gt_t: dict[int, RigidTransfo
     )
 
 
+def moved_teeth(case: Case) -> list[Tooth]:
+    """The case's present moved teeth, by id."""
+    return sorted((t for t in case.all_teeth() if t.present and t.moved), key=lambda t: t.id)
+
+
+def paired_moved(pred: Case, gt: Case) -> list[tuple[Tooth, Tooth]]:
+    """(pred, gt) pairs of the moved teeth, by id: the one tooth pairing
+    of the losses and the residual metrics. Both cases must move the
+    same teeth, and each pair must hold equal point counts."""
+    pred_ids = [t.id for t in moved_teeth(pred)]
+    gt_ids = [t.id for t in moved_teeth(gt)]
+    if pred_ids != gt_ids:
+        raise CorrespondenceMismatch(f"moved-tooth sets differ: {pred_ids} vs {gt_ids}")
+    pairs = [(pred.tooth(tid), gt.tooth(tid)) for tid in pred_ids]
+    for a, b in pairs:
+        if a.points.shape != b.points.shape:
+            raise CorrespondenceMismatch(f"tooth {a.id}: point counts differ")
+    return pairs
+
+
+def recover_tooth(tooth_id: int, src, dst) -> RigidTransform:
+    """kabsch_recover(src, dst) for one tooth; a degenerate cloud names
+    the tooth."""
+    try:
+        return kabsch_recover(src, dst)
+    except DegenerateCloud as exc:
+        raise DegenerateCloud(f"tooth {tooth_id}: {exc}") from exc
+
+
 def residual_transforms(pred_case: Case, gt_case: Case) -> dict[int, RigidTransform]:
     """Least-squares rigid residual per present moved tooth: what still
     separates each predicted cloud from its target."""
-    pred_teeth = {t.id: t for t in pred_case.present_teeth() if t.moved}
-    gt_teeth = {t.id: t for t in gt_case.present_teeth() if t.moved}
-    if set(pred_teeth) != set(gt_teeth):
-        raise CorrespondenceMismatch("moved-tooth sets differ")
-    out = {}
-    for tid in sorted(pred_teeth):
-        try:
-            out[tid] = kabsch_recover(pred_teeth[tid].points, gt_teeth[tid].points)
-        except DegenerateCloud as exc:
-            raise DegenerateCloud(f"tooth {tid}: {exc}") from exc
-    return out
+    return {a.id: recover_tooth(a.id, a.points, b.points) for a, b in paired_moved(pred_case, gt_case)}
 
 
-def case_metrics(pred_case: Case, gt_case: Case, k: float = 5.0) -> dict:
+def case_metrics(pred_case: Case, gt_case: Case, k: float = K_MM) -> dict:
     """ADD, AUC, and mean residual rotation/translation for one case."""
     return _case_metrics(pred_case, gt_case, k)[0]
 
@@ -145,7 +165,7 @@ def _case_metrics(pred_case: Case, gt_case: Case, k: float) -> tuple[dict, np.nd
 
 
 def evaluate_cases(
-    pairs: list[tuple[Case, Case]], k: float = 5.0
+    pairs: list[tuple[Case, Case]], k: float = K_MM
 ) -> tuple[dict, AddCurve]:
     """Aggregate report over (pred, gt) pairs: per-case metrics, their
     means, and the pooled distance curve for plotting."""
@@ -181,7 +201,7 @@ def iterate_predict(model, case: Case, n: int) -> list[Case]:
     return out
 
 
-def iteration_metrics(model, case: Case, gt_case: Case, n: int, k: float = 5.0) -> list[dict]:
+def iteration_metrics(model, case: Case, gt_case: Case, n: int, k: float = K_MM) -> list[dict]:
     """Per-iteration metric table for repeated prediction. A bad k is
     rejected before the first prediction runs."""
     _check_k(k)

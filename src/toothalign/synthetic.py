@@ -35,7 +35,7 @@ class SynthParams:
     proxy_radius: float = 0.25
     occlusal_clearance: float = 0.5  # vertical space between the jaws, mm
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 8 <= self.teeth_per_jaw <= 16:
             raise ConfigError(f"teeth_per_jaw must be 8..16, got {self.teeth_per_jaw}")
         lo, hi = self.crown_size_range
@@ -200,7 +200,6 @@ def generate_synthetic_case(
     transforms are returned alongside the case.
     """
     params = params or SynthParams()
-    params.validate()
     rng = np.random.default_rng(seed)
     n = params.teeth_per_jaw
     start = (16 - n) // 2 + 1

@@ -24,7 +24,8 @@ from scipy.spatial import cKDTree
 from toothalign.config import LossWeights
 from toothalign.errors import CorrespondenceMismatch
 from toothalign.geometry import RigidTransform, quat_from_axis_angle
-from toothalign.losses import _moved_teeth, _recon_tooth
+from toothalign.losses import _recon_tooth
+from toothalign.metrics import moved_teeth
 from toothalign.swin import (
     HEADS,
     SHIFT,
@@ -194,7 +195,7 @@ def recon_loss_from_transforms(case, transforms):
     against ``case.gt_points``, with per-tooth gradients."""
     value = 0.0
     grads = {}
-    for tooth in _moved_teeth(case):
+    for tooth in moved_teeth(case):
         if tooth.gt_points is None:
             raise CorrespondenceMismatch(f"tooth {tooth.id} has no gt_points")
         t = transforms.get(tooth.id)

@@ -347,6 +347,23 @@ def test_cli_flag_overrides_config_seed(capsys, case_file, tmp_path):
     assert b["seed"] == 7
 
 
+def test_negative_seed_from_flag_or_config_is_one_error(capsys, caplog, case_file, tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(dumps_json({"seed": -3}))
+    messages = []
+    for argv in (
+        ["forward", "--seed", "-3", "--in", str(case_file)],
+        ["forward", "--config", str(cfg), "--in", str(case_file)],
+    ):
+        caplog.clear()
+        code, out = _run(capsys, argv)
+        assert code == 1 and out == "", argv
+        records = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert len(records) == 1, argv
+        messages.append(records[0].getMessage())
+    assert messages == ["ConfigError: seed must be a nonnegative integer"] * 2
+
+
 # -------------------------------------------------------------- exit codes
 
 def test_usage_error_exits_1(capsys):

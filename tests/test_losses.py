@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from toothalign.case import Case, Jaw, Tooth
-from toothalign.errors import CorrespondenceMismatch, DegenerateAxis
+from toothalign.errors import ConfigError, CorrespondenceMismatch, DegenerateAxis
 from toothalign.geometry import RigidTransform, quat_from_axis_angle
 from toothalign.losses import (
     LossWeights,
@@ -49,7 +49,6 @@ def _case(cid, upper_teeth, lower_teeth):
 
 def test_weights_defaults():
     w = LossWeights()
-    w.validate()
     assert w.delta == (1.0, 1.0, 1.0, 1.0)
     assert w.omega == 10.0
     assert w.w_posterior == 2.0
@@ -61,8 +60,8 @@ def test_weights_defaults():
     "kwargs", [{"omega": -1.0}, {"tau": 0.0}, {"delta": (1.0, -1.0, 1.0, 1.0)}]
 )
 def test_weights_reject(kwargs):
-    with pytest.raises(ValueError):
-        LossWeights(**kwargs).validate()
+    with pytest.raises(ConfigError):
+        LossWeights(**kwargs)
 
 
 # ----------------------------------------------------------- zero at truth
@@ -367,5 +366,3 @@ def test_breakdown_to_dict_keys(small_corpus):
         "l_uni_ant", "l_uni_pior", "l_uni", "total", "gradients",
     }
     assert set(d["gradients"]) == {"recon", "val"}
-    slim = bd.to_dict(include_gradients=False)
-    assert "gradients" not in slim

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from toothalign.errors import CorrespondenceMismatch, InvalidArgument
+from toothalign.errors import CorrespondenceMismatch, DegenerateCloud, InvalidArgument
 from toothalign.geometry import RigidTransform, quat_from_axis_angle
 from toothalign.metrics import (
     CURVE_SAMPLES,
@@ -14,6 +14,7 @@ from toothalign.metrics import (
     iterate_predict,
     me_rotate,
     me_translate,
+    recover_tooth,
     residual_transforms,
 )
 
@@ -125,6 +126,21 @@ def test_residual_transforms_recover_planted_offset(small_corpus):
     # every other tooth needs no correction
     others = [tid for tid in res if tid != tooth.id]
     assert all(res[t].angle() < 1e-9 for t in others)
+
+
+def test_residual_transforms_name_a_tooth_with_other_point_counts(small_corpus):
+    gt = gt_view(small_corpus[2])
+    pred = gt_view(small_corpus[2])
+    tooth = pred.upper.teeth[4]
+    tooth.points = tooth.points[:100]
+    with pytest.raises(CorrespondenceMismatch, match=rf"^tooth {tooth.id}: point counts differ$"):
+        residual_transforms(pred, gt)
+
+
+def test_recover_tooth_names_a_degenerate_tooth():
+    line = np.column_stack([np.arange(5.0), np.zeros(5), np.zeros(5)])
+    with pytest.raises(DegenerateCloud, match=r"^tooth 9: cloud is collinear"):
+        recover_tooth(9, line, line + 1.0)
 
 
 # ------------------------------------------------------------------- cases

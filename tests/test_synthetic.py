@@ -147,4 +147,4 @@ def test_infeasible_message_shows_need_above_offer():
 )
 def test_bad_params_rejected(kwargs):
     with pytest.raises(ConfigError):
-        SynthParams(**kwargs).validate()
+        SynthParams(**kwargs)

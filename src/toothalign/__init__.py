@@ -5,8 +5,8 @@ evaluation metrics.
 
 Import names from their submodules (``toothalign.arch``,
 ``toothalign.augment``, ...): the package root re-exports nothing, so
-importing it loads no numerical library, and scipy comes in only with
-the submodules that call it (``bvh``, ``swin``).
+importing it loads no numerical library, and no submodule imports
+scipy.
 """
 
 __version__ = "0.1.0"

@@ -13,7 +13,7 @@ back toward clinical plausibility by two constraint passes:
 
 Both passes only translate teeth, so the per-tooth rotation stays
 exactly the sampled one. Collision tests treat each cloud as a union
-of proxy spheres; they and the gap distances are exact k-d tree
+of proxy spheres; they and the gap distances are exact proximity
 queries (see bvh), equal to an all-pairs scan.
 
 A regularization pass pulls every tooth toward the arch first, each
@@ -24,7 +24,8 @@ so this equals pulling and closing tooth by tooth.
 
 Both passes work in place and move points only; the ``moved`` flags
 are the caller's. The joint loop of one case runs them with one
-``clouds`` store, which remembers a tooth's tree, and the gap between
+``clouds`` store, which remembers a tooth's tree (its bounding box and
+coordinate columns, see bvh.AabbTree), and the gap between
 two adjacent teeth, for as long as neither tooth has moved (see
 _Clouds).
 """

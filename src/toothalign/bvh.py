@@ -2,18 +2,14 @@
 
 Every nearest-distance and within-radius question the package asks
 about tooth clouds (collisions, gaps, generator spacing, occlusal
-contact) is answered here, on scipy's k-d tree (Bentley 1975) built
-with the sliding-midpoint rule (Maneewongvatana & Mount 1999).
-
-The tree only proposes candidate pairs, at a radius inflated by a
-relative 1e-9 so that rounding inside the tree cannot drop a pair.
-Membership is then decided by the strict ``((a - b) ** 2).sum(-1) <
-r * r`` test on the original coordinates, so results equal an
-all-pairs scan exactly, not approximately. The gap between two clouds
-is a bounded nearest-neighbour search (Friedman, Bentley & Finkel
-1977): one real pair bounds it, only query points within that bound of
-the tree's bounding box are searched again, and the search looks only
-within the bound.
+contact) is answered here, in numpy, equal to an all-pairs scan bit for
+bit. Pruning by boxes and by a sweep along x (Preparata & Shamos 1985)
+only drops a point whose difference from the box or window is at least
+the radius on some axis; rounding is monotone, so every pair it drops
+has a squared distance of at least r * r. Membership is decided by the
+strict ``d2 < r * r`` test, ``d2`` summing the squared axis differences
+in the order ``((a - b) ** 2).sum(-1)`` does. The gap between two clouds
+is a bounded nearest-neighbour search (Friedman, Bentley & Finkel 1977).
 """
 
 from __future__ import annotations
@@ -21,17 +17,17 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import EmptyCloud
 
 _INFLATE = 1.0 + 1e-9
 _TINY = 1e-280  # a squared bound below this nears the subnormals, where rounding eats _INFLATE
+_BLOCK = 1 << 16  # pairs per block of an all-pairs minimum
 
 
-class AabbTree(cKDTree):
-    """Static k-d tree (its nodes are axis-aligned boxes) over a fixed
-    (n, 2) or (n, 3) cloud; the cloud is ``self.data``."""
+class AabbTree:
+    """A fixed (n, 2) or (n, 3) cloud ``data`` (the caller's array), its
+    bounding box ``mins``/``maxes`` and its (dim, n) columns ``cols``."""
 
     def __init__(self, points):
         pts = np.asarray(points, dtype=float)
@@ -39,7 +35,11 @@ class AabbTree(cKDTree):
             raise ValueError("expected an (n, 2) or (n, 3) point array")
         if pts.shape[0] == 0:
             raise EmptyCloud("cannot build a tree over zero points")
-        super().__init__(pts, balanced_tree=False)
+        self.data = pts
+        self.n = pts.shape[0]
+        self.mins = pts.min(axis=0)
+        self.maxes = pts.max(axis=0)
+        self.cols = pts.T.copy()
 
     @cached_property
     def centroid(self) -> np.ndarray:
@@ -48,17 +48,52 @@ class AabbTree(cKDTree):
         return self.data.mean(axis=0)
 
 
+def _d2(a, b) -> np.ndarray:
+    """Squared distances between points given as per-axis coordinates."""
+    d2 = (a[0] - b[0]) ** 2
+    for ak, bk in zip(a[1:], b[1:]):
+        d2 += (ak - bk) ** 2
+    return d2
+
+
+def _near_box(cols, lo, hi, reach) -> np.ndarray:
+    """Indices of the columns' points whose difference from the box
+    [lo, hi] is below reach on every axis."""
+    return np.flatnonzero(((lo[:, None] - cols < reach) & (cols - hi[:, None] < reach)).all(axis=0))
+
+
+def _min_d2(pts, cols) -> np.ndarray:
+    """Smallest squared distance from each row of pts to the columns'
+    points, one block of rows at a time."""
+    out = np.empty(len(pts))
+    step = max(1, _BLOCK // cols.shape[1])
+    for s in range(0, len(pts), step):
+        out[s : s + step] = _d2(pts[s : s + step].T[:, :, None], cols[:, None, :]).min(axis=1)
+    return out
+
+
 def interlock_masks(a, b, radius: float) -> tuple[np.ndarray, np.ndarray, float]:
     """Flags of each cloud's points lying strictly within radius of the
     other cloud, plus the closest pair distance among flagged points
-    (inf when the clouds are separated)."""
-    cand = a.sparse_distance_matrix(b, radius * _INFLATE, output_type="ndarray")
-    d2 = ((a.data[cand["i"]] - b.data[cand["j"]]) ** 2).sum(axis=-1)
+    (inf when the clouds are separated). Each row of a near b's box is
+    paired with the rows of b, near the box of those, in its x window."""
+    reach = radius * _INFLATE
+    ia = _near_box(a.cols, b.mins, b.maxes, reach)
+    ka = a.cols.take(ia, axis=1)
+    jb = _near_box(b.cols, ka.min(axis=1, initial=np.inf), ka.max(axis=1, initial=-np.inf), reach)
+    jb = jb[np.argsort(b.cols[0, jb])]
+    bx = b.cols[0, jb]
+    start = np.searchsorted(bx, ka[0] - reach, side="left")
+    count = np.searchsorted(bx, ka[0] + reach, side="right") - start
+    first = np.repeat(start - np.cumsum(count) + count, count)
+    i = np.repeat(ia, count)
+    j = jb[first + np.arange(first.size)]
+    d2 = _d2(a.cols.take(i, axis=1), b.cols.take(j, axis=1))
     hit = d2 < radius * radius
     mask_a = np.zeros(a.n, dtype=bool)
     mask_b = np.zeros(b.n, dtype=bool)
-    mask_a[cand["i"][hit]] = True
-    mask_b[cand["j"][hit]] = True
+    mask_a[i[hit]] = True
+    mask_b[j[hit]] = True
     best = float(np.sqrt(d2[hit].min())) if hit.any() else np.inf
     return mask_a, mask_b, best
 
@@ -66,9 +101,7 @@ def interlock_masks(a, b, radius: float) -> tuple[np.ndarray, np.ndarray, float]
 def nearest_distances(points, tree) -> np.ndarray:
     """Distance from each row of points to its nearest point of tree,
     in the same arithmetic as interlock_masks."""
-    pts = np.asarray(points, dtype=float)
-    _, j = tree.query(pts)
-    return np.sqrt(((pts - tree.data[j]) ** 2).sum(axis=-1))
+    return np.sqrt(_min_d2(np.asarray(points, dtype=float), tree.cols))
 
 
 def cloud_gap(points, tree) -> float:
@@ -76,14 +109,12 @@ def cloud_gap(points, tree) -> float:
     ``nearest_distances(points, tree).min()``.
 
     The query row nearest the tree's centroid gives a real pair, whose
-    distance bounds the gap. A row farther than that bound (inflated, as
-    above) from the tree's bounding box has no neighbour within it and is
-    dropped; the box distance is compared with the bound inflated once
-    more, which covers its rounding, so no row that could win is dropped.
-    Only the rows left are searched, within the bound, and have their
-    distance recomputed. A bound whose square leaves the normal range
-    would lose the inflation to rounding, so such a cloud pair takes the
-    full query."""
+    distance bounds the gap. Rows farther than the bound (inflated, as
+    above) from the tree's box are dropped, by a test inflated once more
+    to cover its rounding, and so are tree points that far from the box
+    of the rows left; the rest are compared all-pairs. A bound whose
+    square leaves the normal range would lose the inflation to rounding,
+    so such a cloud pair is compared all-pairs in full."""
     pts = np.asarray(points, dtype=float)
     near = ((pts - tree.centroid) ** 2).sum(axis=-1).argmin()
     bound = float(nearest_distances(pts[near : near + 1], tree)[0])
@@ -94,9 +125,8 @@ def cloud_gap(points, tree) -> float:
     keep = (outside * outside).sum(axis=-1) <= reach * reach * _INFLATE
     keep[near] = True
     pts = pts[keep]
-    _, j = tree.query(pts, distance_upper_bound=reach)
-    hit = j < tree.n
-    return float(np.sqrt(((pts[hit] - tree.data[j[hit]]) ** 2).sum(axis=-1)).min())
+    j = _near_box(tree.cols, pts.min(axis=0), pts.max(axis=0), reach)
+    return float(np.sqrt(_min_d2(pts, tree.cols.take(j, axis=1)).min()))
 
 
 def boxes_apart(a, b, radius: float) -> bool:

@@ -36,9 +36,10 @@ from .geometry import fps_sample
 from .metrics import K_MM, evaluate_cases, iteration_metrics
 from .seeding import derive_seed
 
-# Import rule: modules that load scipy (augment, losses, synthetic, swin)
-# are imported inside the subcommands that call them, so every call pays
-# only for what it runs; tests/test_import_policy.py enforces this.
+# Import rule: the heavier modules (augment, losses, synthetic, swin) are
+# imported inside the subcommands that call them, so every call pays
+# only for what it runs and --help stays fast; no call loads scipy, and
+# tests/test_import_policy.py enforces this.
 
 log = logging.getLogger("toothalign")
 

@@ -28,12 +28,16 @@ so its temporaries stay small. Neither skipping work nor chunking
 moves a bit: the tests hold the network to a plain full-grid oracle,
 bit for bit, and _grid_block says why its chunks of present-row
 windows give the same bits as the full grid.
+
+The GELU's erf is a numpy port of cephes' erf (see erf), which equals
+scipy.special.erf bit for bit, so the module runs on numpy alone.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.special import erf
 
 from .case import (
     NORM_SCALE_MM,
@@ -58,11 +62,66 @@ _CHUNK_COLS = 64  # columns of one pass of the 2D block: 8 windows per row
 
 # ------------------------------------------------------------- primitives
 
+# cephes erf and erfc (Moshier 1989, ndtr.c), the erf scipy.special
+# runs. U, Q and S carry the leading 1.0 that cephes' p1evl implies.
+_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3, 7.00332514112805075473e3,
+      5.55923013010394962768e4)
+_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+      2.26290000613890934246e4, 4.92673942608635921086e4)
+_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0, 4.86371970985681366614e1,
+      1.96520832956077098242e2, 5.26445194995477358631e2, 9.34528527171957607540e2, 1.02755188689515710272e3,
+      5.57535335369399327526e2)
+_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+      9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3, 1.65666309194161350182e3,
+      5.57535340817727675546e2)
+_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0, 6.16021097993053585195e0,
+      7.40974269950448939160e0, 2.97886665372100240670e0)
+_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+      1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_MAXLOG = 7.09782712893383996843e2
+
+
+def _polevl(x: np.ndarray, coef: tuple) -> np.ndarray:
+    # cephes polevl (and p1evl, as 1.0 * x == x): Horner's rule
+    y = coef[0] * x
+    y += coef[1]
+    for c in coef[2:]:
+        y *= x
+        y += c
+    return y
+
+
+def erf(x) -> np.ndarray:
+    """cephes erf, bit for bit: x T(x^2) / U(x^2) for |x| <= 1, else
+    1 - erfc(|x|) signed as x, where erfc(a) = exp(-a * a) P(a) / Q(a)
+    (R/S from 8 on, and 0 once -a * a < -MAXLOG) with libm's exp, whose
+    last ulp np.exp's differs from. NaN stays NaN, -0 stays -0, and no
+    finite input raises a floating-point warning."""
+    x = np.asarray(x, dtype=float)
+    m = np.clip(x, -1.0, 1.0)
+    z = m * m
+    y = _polevl(z, _T)
+    y *= m
+    y /= _polevl(z, _U)
+    tail = m != x  # |x| > 1, or NaN
+    if tail.any():
+        t = x[tail]
+        erfc = np.zeros_like(t)
+        live = np.flatnonzero(~(np.abs(t) >= 27.0))  # 27 * 27 > MAXLOG, and a * a may overflow past it
+        a = np.abs(t[live])
+        z = -a * a
+        e = np.array([math.exp(v) for v in z.tolist()])
+        near = a < 8.0
+        p = np.where(near, _polevl(a, _P), _polevl(a, _R))
+        q = np.where(near, _polevl(a, _Q), _polevl(a, _S))
+        erfc[live] = np.where(z < -_MAXLOG, 0.0, e * p / q)
+        y[tail] = np.copysign(1.0 - erfc, t)
+    return y
+
+
 def _gelu(x: np.ndarray) -> np.ndarray:
-    # 0.5 * x * (1.0 + erf(x / sqrt(2))) in the same operation order,
-    # on two buffers instead of five
-    e = x / np.sqrt(2.0)
-    erf(e, out=e)
+    # 0.5 * x * (1.0 + erf(x / sqrt(2))) in the same operation order
+    e = erf(x / np.sqrt(2.0))
     e += 1.0
     y = 0.5 * x
     y *= e

@@ -68,6 +68,18 @@ def brute_min_distance(a, b):
     return float(d.min())
 
 
+def all_pairs_proximity(a, b, radius):
+    """From the full matrix of squared distances between the rows of a
+    and b: each cloud's flags of points strictly within radius of the
+    other, the closest flagged distance (inf when none), each row of a's
+    distance to its nearest row of b, and the gap between the clouds."""
+    d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=-1)
+    hit = d2 < radius * radius
+    best = float(np.sqrt(d2[hit].min())) if hit.any() else np.inf
+    gap = float(np.sqrt(d2.min()))
+    return hit.any(axis=1), hit.any(axis=0), best, np.sqrt(d2.min(axis=1)), gap
+
+
 def brute_interlocks(a, b, radius):
     """Does any cross pair sit strictly inside ``radius``?"""
     tree = cKDTree(b)

@@ -15,27 +15,19 @@ from hypothesis.extra.numpy import arrays
 from toothalign.bvh import AabbTree, boxes_apart, cloud_gap, interlock_masks, nearest_distances
 from toothalign.errors import EmptyCloud
 
-from oracles import same_bits
+from oracles import all_pairs_proximity, same_bits
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
-
-
-def _all_pairs(a, b, radius):
-    d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=-1)
-    hit = d2 < radius * radius
-    best = float(np.sqrt(d2[hit].min())) if hit.any() else np.inf
-    gap = float(np.sqrt(d2.min()))
-    return hit.any(axis=1), hit.any(axis=0), best, np.sqrt(d2.min(axis=1)), gap
 
 
 def _assert_matches_all_pairs(a, b, radius):
     tree_a, tree_b = AabbTree(a), AabbTree(b)
     mask_a, mask_b, best = interlock_masks(tree_a, tree_b, radius)
-    want_a, want_b, want_best, want_near, want_gap = _all_pairs(a, b, radius)
+    want_a, want_b, want_best, want_near, want_gap = all_pairs_proximity(a, b, radius)
     assert np.array_equal(mask_a, want_a)
     assert np.array_equal(mask_b, want_b)
-    assert best == want_best
-    assert np.array_equal(nearest_distances(a, tree_b), want_near)
+    assert same_bits(best, want_best)
+    assert same_bits(nearest_distances(a, tree_b), want_near)
     assert same_bits(cloud_gap(a, tree_b), want_gap)
     assert same_bits(cloud_gap(b, tree_a), want_gap)
     if boxes_apart(tree_a, tree_b, radius):
@@ -90,6 +82,37 @@ def separated_clouds(draw):
         a[:, axis] = side * (3.0 + draw(st.floats(0.0, 5.0)) + 10.0 * (a[:, axis] + 3.0))
         radius = draw(st.floats(0.0, 4.0))
     return a, b, radius
+
+
+@st.composite
+def edge_clouds(draw):
+    """Duplicate points, coincident clouds, far-apart clouds and radii
+    near 0, at scales from 1e-150 (squared gaps below _TINY, where the
+    gap query compares all pairs) through 1e-7 to 1e2."""
+    dim = draw(st.sampled_from([2, 3]))
+    scale = draw(st.sampled_from([1e-150, 1e-7, 1.0, 1e2]))
+    coords = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+    a = draw(arrays(np.float64, (draw(st.integers(1, 30)), dim), elements=coords, fill=st.nothing()))
+    a = a[draw(st.lists(st.integers(0, len(a) - 1), min_size=1, max_size=60))]  # repeats rows
+    kind = draw(st.sampled_from(["coincident", "shuffled", "sharing", "apart", "far"]))
+    if kind == "coincident":
+        b = a
+    elif kind == "shuffled":
+        b = a[draw(st.permutations(range(len(a))))]
+    else:
+        b = draw(arrays(np.float64, (draw(st.integers(1, 30)), dim), elements=coords, fill=st.nothing()))
+        if kind == "sharing":
+            b = np.concatenate([b, a[: draw(st.integers(1, len(a)))]])
+        if kind == "far":
+            b = b + draw(st.sampled_from([10.0, 1e3, -1e3]))
+    radius = draw(st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 1e-12]), st.floats(0.0, 4.0)))
+    return a * scale, b * scale, radius * scale
+
+
+@PROPERTY
+@given(edge_clouds())
+def test_edge_clouds_match_all_pairs(clouds):
+    _assert_matches_all_pairs(*clouds)
 
 
 @PROPERTY

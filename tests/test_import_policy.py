@@ -1,13 +1,10 @@
-"""Import policy of the command line: each call loads only what it runs.
+"""Import policy of the command line: no call loads scipy.
 
-``import toothalign.cli`` and the subcommands that need no scipy
-(``--help``, sample, serialize, arch export, eval) load no scipy module
-at all, no subcommand loads ``scipy.interpolate`` (the arch line is
-evaluated in numpy), and forward and iterate, which run the network and
-no proximity query, load neither ``scipy.spatial`` nor
-``scipy.sparse``. Every command runs in a fresh ``python -X
-importtime`` process, whose import log on stderr names each module the
-run loaded, lazy imports included.
+``import toothalign``, ``import toothalign.cli``, ``--help`` and all
+nine subcommands load no scipy module at all: the arch line, the
+proximity queries and the GELU's erf run on numpy. Every command runs
+in a fresh ``python -X importtime`` process, whose import log on stderr
+names each module the run loaded, lazy imports included.
 """
 
 import os
@@ -56,7 +53,7 @@ def work(tmp_path_factory):
 
 CASE = "cases/policy.case.json"
 
-NO_SCIPY = {
+LIGHT = {
     "help": ["--help"],
     "sample": ["sample", "--in", CASE, "-n", "64", "-o", "small.case.json"],
     "serialize": ["serialize", "--in", CASE],
@@ -64,7 +61,7 @@ NO_SCIPY = {
     "eval": ["eval", "--pred-dir", "cases", "--gt-dir", "cases"],
 }
 
-NO_INTERPOLATE = {
+DATA_PATH = {
     "gen": ["gen", "--seed", "0", "-o", "generated"],
     "augment": ["augment", "--seed", "1", "--in", CASE, "-o", "aug.case.json"],
     "loss": ["loss", "--pred", CASE, "--gt", CASE],
@@ -78,22 +75,15 @@ def test_import_loads_no_scipy(module, tmp_path):
     assert _scipy(_imported(["-c", f"import {module}"], tmp_path)) == []
 
 
-@pytest.mark.parametrize("name", sorted(NO_SCIPY))
+@pytest.mark.parametrize("name", sorted(LIGHT))
 def test_light_subcommands_load_no_scipy(name, work):
-    modules = _imported(["-m", "toothalign", *NO_SCIPY[name]], work)
+    modules = _imported(["-m", "toothalign", *LIGHT[name]], work)
     assert "toothalign.cli" in modules
     assert _scipy(modules) == []
 
 
-@pytest.mark.parametrize("name", sorted(NO_INTERPOLATE))
-def test_no_subcommand_loads_scipy_interpolate(name, work):
-    modules = _imported(["-m", "toothalign", *NO_INTERPOLATE[name]], work)
+@pytest.mark.parametrize("name", sorted(DATA_PATH))
+def test_data_path_subcommands_load_no_scipy(name, work):
+    modules = _imported(["-m", "toothalign", *DATA_PATH[name]], work)
     assert "toothalign.cli" in modules
-    assert not [m for m in modules if m.startswith("scipy.interpolate")]
-
-
-@pytest.mark.parametrize("name", ["forward", "iterate"])
-def test_network_subcommands_load_no_spatial_or_sparse(name, work):
-    modules = _imported(["-m", "toothalign", *NO_INTERPOLATE[name]], work)
-    assert "toothalign.swin" in modules
-    assert not [m for m in modules if m.startswith(("scipy.spatial", "scipy.sparse"))]
+    assert _scipy(modules) == []

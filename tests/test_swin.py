@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import erf
 
 from toothalign import swin
@@ -12,6 +13,7 @@ from toothalign.errors import BadHeadCount, IndivisibleGrid, InvalidArgument, Od
 from toothalign.swin import (
     CHANNELS,
     HEADS,
+    _MAXLOG,
     _gelu,
     center_encoder,
     column_merge,
@@ -125,6 +127,40 @@ def test_gelu_equals_the_formula_bit_for_bit(rng):
     before = x.copy()
     assert same_bits(_gelu(x), 0.5 * x * (1.0 + erf(x / np.sqrt(2.0))))
     assert same_bits(x, before)
+
+
+def _near(*centers):
+    """Doubles a few ulps, or a relative 1e-6, either side of a center."""
+    return st.sampled_from(centers).flatmap(
+        lambda c: st.one_of(
+            st.integers(-4, 4).map(lambda k: float(c + k * np.spacing(c))),
+            st.floats(c * (1 - 1e-6), c * (1 + 1e-6)),
+        )
+    )
+
+
+ERF_INPUTS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+    st.floats(-30.0, 30.0),
+    _near(1.0, 8.0, float(np.sqrt(_MAXLOG)), 27.0),
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324]),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(arrays(np.float64, st.integers(1, 40), elements=ERF_INPUTS), st.booleans())
+@pytest.mark.filterwarnings("error")
+def test_erf_equals_scipy_erf_bit_for_bit(x, negate):
+    """The cephes port against scipy.special.erf: finite doubles from
+    subnormal to huge, both zeros, both infinities, NaN, and values
+    beside the branch points 1 and 8, the underflow point sqrt(MAXLOG)
+    and 27. NaN stays NaN; everything else matches bit for bit, with no
+    floating-point warning."""
+    x = -x if negate else x
+    got, want = swin.erf(x), erf(x)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert same_bits(got[~nan], want[~nan])
 
 
 def test_gelu_frozen_values():

@@ -29,7 +29,7 @@ moves a bit: the tests hold the network to a plain full-grid oracle,
 bit for bit, and _grid_block says why its chunks of present-row
 windows give the same bits as the full grid.
 
-The GELU's erf is a numpy port of cephes' erf (see erf), which equals
+The GELU's erf is a numpy port of cephes' erf (see _erf), which equals
 scipy.special.erf bit for bit, so the module runs on numpy alone.
 """
 
@@ -91,20 +91,21 @@ def _polevl(x: np.ndarray, coef: tuple) -> np.ndarray:
     return y
 
 
-def erf(x) -> np.ndarray:
-    """cephes erf, bit for bit: x T(x^2) / U(x^2) for |x| <= 1, else
-    1 - erfc(|x|) signed as x, where erfc(a) = exp(-a * a) P(a) / Q(a)
-    (R/S from 8 on, and 0 once -a * a < -MAXLOG) with libm's exp, whose
-    last ulp np.exp's differs from. NaN stays NaN, -0 stays -0, and no
-    finite input raises a floating-point warning."""
+def _erf(x: np.ndarray) -> np.ndarray:
+    """cephes erf of an array, bit for bit: x T(x^2) / U(x^2) for
+    |x| <= 1, else 1 - erfc(|x|) signed as x, where erfc(a) = exp(-a * a)
+    P(a) / Q(a) (R/S from 8 on, and 0 once -a * a < -MAXLOG) with libm's
+    exp, whose last ulp np.exp's differs from. NaN stays NaN, -0 stays
+    -0, and no finite input raises a floating-point warning."""
     x = np.asarray(x, dtype=float)
-    m = np.clip(x, -1.0, 1.0)
+    inside = x.min(initial=0.0) >= -1.0 and x.max(initial=0.0) <= 1.0  # False with a NaN
+    m = x if inside else np.clip(x, -1.0, 1.0)
     z = m * m
     y = _polevl(z, _T)
     y *= m
     y /= _polevl(z, _U)
-    tail = m != x  # |x| > 1, or NaN
-    if tail.any():
+    if not inside:
+        tail = ~(np.abs(x) <= 1.0)  # |x| > 1, or NaN
         t = x[tail]
         erfc = np.zeros_like(t)
         live = np.flatnonzero(~(np.abs(t) >= 27.0))  # 27 * 27 > MAXLOG, and a * a may overflow past it
@@ -121,7 +122,7 @@ def erf(x) -> np.ndarray:
 
 def _gelu(x: np.ndarray) -> np.ndarray:
     # 0.5 * x * (1.0 + erf(x / sqrt(2))) in the same operation order
-    e = erf(x / np.sqrt(2.0))
+    e = _erf(x / np.sqrt(2.0))
     e += 1.0
     y = 0.5 * x
     y *= e

@@ -25,7 +25,7 @@ so this equals pulling and closing tooth by tooth.
 Both passes work in place and move points only; the ``moved`` flags
 are the caller's. The joint loop of one case runs them with one
 ``clouds`` store, which remembers a tooth's tree (its bounding box and
-its points sorted by x, see bvh.AabbTree), and the gap between
+coordinate columns, see bvh.AabbTree), and the gap between
 two adjacent teeth, for as long as neither tooth has moved (see
 _Clouds).
 """

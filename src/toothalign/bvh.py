@@ -27,8 +27,7 @@ _BLOCK = 1 << 16  # pairs per block of an all-pairs minimum
 
 class AabbTree:
     """A fixed (n, 2) or (n, 3) cloud ``data`` (the caller's array), its
-    bounding box ``mins``/``maxes``, and its points sorted by x as
-    (dim, n) columns ``cols``, point k of which is row ``order[k]``."""
+    bounding box ``mins``/``maxes`` and its (dim, n) columns ``cols``."""
 
     def __init__(self, points):
         pts = np.asarray(points, dtype=float)
@@ -40,8 +39,7 @@ class AabbTree:
         self.n = pts.shape[0]
         self.mins = pts.min(axis=0)
         self.maxes = pts.max(axis=0)
-        self.order = np.argsort(pts[:, 0], kind="stable")
-        self.cols = pts.T.take(self.order, axis=1)
+        self.cols = pts.T.copy()
 
     @cached_property
     def centroid(self) -> np.ndarray:
@@ -77,14 +75,16 @@ def _min_d2(pts, cols) -> np.ndarray:
 def interlock_masks(a, b, radius: float) -> tuple[np.ndarray, np.ndarray, float]:
     """Flags of each cloud's points lying strictly within radius of the
     other cloud, plus the closest pair distance among flagged points
-    (inf when the clouds are separated). Each point of a near b's box is
-    paired with the points of b near a's box in its x window."""
+    (inf when the clouds are separated). Each row of a near b's box is
+    paired with the rows of b, near the box of those, in its x window."""
     reach = radius * _INFLATE
     ia = _near_box(a.cols, b.mins, b.maxes, reach)
-    jb = _near_box(b.cols, a.mins, a.maxes, reach)
-    ax, bx = a.cols[0, ia], b.cols[0, jb]  # both sorted
-    start = np.searchsorted(bx, ax - reach, side="left")
-    count = np.searchsorted(bx, ax + reach, side="right") - start
+    ka = a.cols.take(ia, axis=1)
+    jb = _near_box(b.cols, ka.min(axis=1, initial=np.inf), ka.max(axis=1, initial=-np.inf), reach)
+    jb = jb[np.argsort(b.cols[0, jb])]
+    bx = b.cols[0, jb]
+    start = np.searchsorted(bx, ka[0] - reach, side="left")
+    count = np.searchsorted(bx, ka[0] + reach, side="right") - start
     first = np.repeat(start - np.cumsum(count) + count, count)
     i = np.repeat(ia, count)
     j = jb[first + np.arange(first.size)]
@@ -92,8 +92,8 @@ def interlock_masks(a, b, radius: float) -> tuple[np.ndarray, np.ndarray, float]
     hit = d2 < radius * radius
     mask_a = np.zeros(a.n, dtype=bool)
     mask_b = np.zeros(b.n, dtype=bool)
-    mask_a[a.order[i[hit]]] = True
-    mask_b[b.order[j[hit]]] = True
+    mask_a[i[hit]] = True
+    mask_b[j[hit]] = True
     best = float(np.sqrt(d2[hit].min())) if hit.any() else np.inf
     return mask_a, mask_b, best
 

@@ -37,15 +37,15 @@ class AabbTree:
             raise EmptyCloud("cannot build a tree over zero points")
         self.data = pts
         self.n = pts.shape[0]
-        self.mins = pts.min(axis=0)
-        self.maxes = pts.max(axis=0)
         self.cols = pts.T.copy()
+        self.mins = self.cols.min(axis=1)
+        self.maxes = self.cols.max(axis=1)
 
     @cached_property
     def centroid(self) -> np.ndarray:
         """Mean of the cloud, computed once, when a gap query first asks;
         trees that only flag interlocks never pay for it."""
-        return self.data.mean(axis=0)
+        return self.cols.mean(axis=1)
 
 
 def _d2(a, b) -> np.ndarray:
@@ -62,13 +62,13 @@ def _near_box(cols, lo, hi, reach) -> np.ndarray:
     return np.flatnonzero(((lo[:, None] - cols < reach) & (cols - hi[:, None] < reach)).all(axis=0))
 
 
-def _min_d2(pts, cols) -> np.ndarray:
-    """Smallest squared distance from each row of pts to the columns'
-    points, one block of rows at a time."""
-    out = np.empty(len(pts))
+def _min_d2(pc, cols) -> np.ndarray:
+    """Smallest squared distance from each point of the columns pc to
+    the columns' points cols, one block of pc at a time."""
+    out = np.empty(pc.shape[1])
     step = max(1, _BLOCK // cols.shape[1])
-    for s in range(0, len(pts), step):
-        out[s : s + step] = _d2(pts[s : s + step].T[:, :, None], cols[:, None, :]).min(axis=1)
+    for s in range(0, pc.shape[1], step):
+        out[s : s + step] = _d2(pc[:, s : s + step, None], cols[:, None, :]).min(axis=1)
     return out
 
 
@@ -79,6 +79,7 @@ def interlock_masks(a, b, radius: float) -> tuple[np.ndarray, np.ndarray, float]
     paired with the rows of b, near the box of those, in its x window."""
     reach = radius * _INFLATE
     ia = _near_box(a.cols, b.mins, b.maxes, reach)
+    ia = ia[np.argsort(a.cols[0, ia])]  # sorted needles make searchsorted cheap
     ka = a.cols.take(ia, axis=1)
     jb = _near_box(b.cols, ka.min(axis=1, initial=np.inf), ka.max(axis=1, initial=-np.inf), reach)
     jb = jb[np.argsort(b.cols[0, jb])]
@@ -101,7 +102,7 @@ def interlock_masks(a, b, radius: float) -> tuple[np.ndarray, np.ndarray, float]
 def nearest_distances(points, tree) -> np.ndarray:
     """Distance from each row of points to its nearest point of tree,
     in the same arithmetic as interlock_masks."""
-    return np.sqrt(_min_d2(np.asarray(points, dtype=float), tree.cols))
+    return np.sqrt(_min_d2(np.asarray(points, dtype=float).T, tree.cols))
 
 
 def cloud_gap(points, tree) -> float:
@@ -115,18 +116,18 @@ def cloud_gap(points, tree) -> float:
     of the rows left; the rest are compared all-pairs. A bound whose
     square leaves the normal range would lose the inflation to rounding,
     so such a cloud pair is compared all-pairs in full."""
-    pts = np.asarray(points, dtype=float)
-    near = ((pts - tree.centroid) ** 2).sum(axis=-1).argmin()
-    bound = float(nearest_distances(pts[near : near + 1], tree)[0])
+    pc = np.asarray(points, dtype=float).T.copy()
+    near = _d2(pc, tree.centroid).argmin()
+    bound = float(np.sqrt(_min_d2(pc[:, near : near + 1], tree.cols)[0]))
     if not bound * bound > _TINY:
-        return float(nearest_distances(pts, tree).min())
+        return float(np.sqrt(_min_d2(pc, tree.cols).min()))
     reach = bound * _INFLATE
-    outside = np.maximum(np.maximum(tree.mins - pts, pts - tree.maxes), 0.0)
-    keep = (outside * outside).sum(axis=-1) <= reach * reach * _INFLATE
+    outside = np.maximum(np.maximum(tree.mins[:, None] - pc, pc - tree.maxes[:, None]), 0.0)
+    keep = (outside * outside).sum(axis=0) <= reach * reach * _INFLATE
     keep[near] = True
-    pts = pts[keep]
-    j = _near_box(tree.cols, pts.min(axis=0), pts.max(axis=0), reach)
-    return float(np.sqrt(_min_d2(pts, tree.cols.take(j, axis=1)).min()))
+    pc = pc[:, keep]
+    j = _near_box(tree.cols, pc.min(axis=1), pc.max(axis=1), reach)
+    return float(np.sqrt(_min_d2(pc, tree.cols.take(j, axis=1)).min()))
 
 
 def boxes_apart(a, b, radius: float) -> bool:

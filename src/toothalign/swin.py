@@ -62,29 +62,19 @@ _CHUNK_COLS = 64  # columns of one pass of the 2D block: 8 windows per row
 
 # ------------------------------------------------------------- primitives
 
-# cephes erf and erfc (Moshier 1989, ndtr.c), the erf scipy.special
-# runs. U, Q and S carry the leading 1.0 that cephes' p1evl implies.
-_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3, 7.00332514112805075473e3,
-      5.55923013010394962768e4)
-_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
-      2.26290000613890934246e4, 4.92673942608635921086e4)
-_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0, 4.86371970985681366614e1,
-      1.96520832956077098242e2, 5.26445194995477358631e2, 9.34528527171957607540e2, 1.02755188689515710272e3,
-      5.57535335369399327526e2)
-_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
-      9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3, 1.65666309194161350182e3,
-      5.57535340817727675546e2)
-_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0, 6.16021097993053585195e0,
-      7.40974269950448939160e0, 2.97886665372100240670e0)
-_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
-      1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
-_MAXLOG = 7.09782712893383996843e2
+# cephes erf and erfc (Moshier 1989, ndtr.c), the erf scipy.special runs,
+# in doubles; U and Q carry the leading 1.0 that cephes' p1evl implies.
+_T = (9.604973739870516, 90.02601972038427, 2232.005345946843, 7003.325141128051, 55592.30130103949)
+_U = (1.0, 33.56171416475031, 521.3579497801527, 4594.323829709801, 22629.000061389095, 49267.39426086359)
+_P = (2.461969814735305e-10, 0.5641895648310689, 7.463210564422699, 48.63719709856814, 196.5208329560771,
+      526.4451949954773, 934.5285271719576, 1027.5518868951572, 557.5353353693994)
+_Q = (1.0, 13.228195115474499, 86.70721408859897, 354.9377788878199, 975.7085017432055, 1823.9091668790973,
+      2246.3376081871097, 1656.6630919416134, 557.5353408177277)
 
 
 def _polevl(x: np.ndarray, coef: tuple) -> np.ndarray:
-    # cephes polevl (and p1evl, as 1.0 * x == x): Horner's rule
-    y = coef[0] * x
-    y += coef[1]
+    # cephes polevl, and p1evl when coef[0] is 1.0: Horner's rule
+    y = x + coef[1] if coef[0] == 1.0 else coef[0] * x + coef[1]
     for c in coef[2:]:
         y *= x
         y += c
@@ -94,9 +84,11 @@ def _polevl(x: np.ndarray, coef: tuple) -> np.ndarray:
 def _erf(x: np.ndarray) -> np.ndarray:
     """cephes erf of an array, bit for bit: x T(x^2) / U(x^2) for
     |x| <= 1, else 1 - erfc(|x|) signed as x, where erfc(a) = exp(-a * a)
-    P(a) / Q(a) (R/S from 8 on, and 0 once -a * a < -MAXLOG) with libm's
-    exp, whose last ulp np.exp's differs from. NaN stays NaN, -0 stays
-    -0, and no finite input raises a floating-point warning."""
+    P(a) / Q(a) with libm's exp, whose last ulp np.exp's differs from.
+    From 8 on, where cephes' erfc turns to other coefficients, erfc is
+    below 2**-96 and 1 - erfc rounds to 1, so a stops at 8. NaN stays
+    NaN, -0 stays -0, and no finite input raises a floating-point
+    warning."""
     x = np.asarray(x, dtype=float)
     inside = x.min(initial=0.0) >= -1.0 and x.max(initial=0.0) <= 1.0  # False with a NaN
     m = x if inside else np.clip(x, -1.0, 1.0)
@@ -107,15 +99,8 @@ def _erf(x: np.ndarray) -> np.ndarray:
     if not inside:
         tail = ~(np.abs(x) <= 1.0)  # |x| > 1, or NaN
         t = x[tail]
-        erfc = np.zeros_like(t)
-        live = np.flatnonzero(~(np.abs(t) >= 27.0))  # 27 * 27 > MAXLOG, and a * a may overflow past it
-        a = np.abs(t[live])
-        z = -a * a
-        e = np.array([math.exp(v) for v in z.tolist()])
-        near = a < 8.0
-        p = np.where(near, _polevl(a, _P), _polevl(a, _R))
-        q = np.where(near, _polevl(a, _Q), _polevl(a, _S))
-        erfc[live] = np.where(z < -_MAXLOG, 0.0, e * p / q)
+        a = np.minimum(np.abs(t), 8.0)
+        erfc = np.array([math.exp(v) for v in (-a * a).tolist()]) * _polevl(a, _P) / _polevl(a, _Q)
         y[tail] = np.copysign(1.0 - erfc, t)
     return y
 

@@ -4,7 +4,8 @@
 nine subcommands load no scipy module at all: the arch line, the
 proximity queries and the GELU's erf run on numpy. Every command runs
 in a fresh ``python -X importtime`` process, whose import log on stderr
-names each module the run loaded, lazy imports included.
+names each module the run loaded, lazy imports included. Each command
+runs once per module; the checks that read its log share the run.
 """
 
 import os
@@ -51,6 +52,19 @@ def work(tmp_path_factory):
     return d
 
 
+@pytest.fixture(scope="module")
+def cli(work):
+    runs = {}
+
+    def run(args):
+        key = tuple(args)
+        if key not in runs:
+            runs[key] = _imported(["-m", "toothalign", *args], work)
+        return runs[key]
+
+    return run
+
+
 CASE = "cases/policy.case.json"
 
 LIGHT = {
@@ -76,14 +90,28 @@ def test_import_loads_no_scipy(module, tmp_path):
 
 
 @pytest.mark.parametrize("name", sorted(LIGHT))
-def test_light_subcommands_load_no_scipy(name, work):
-    modules = _imported(["-m", "toothalign", *LIGHT[name]], work)
+def test_light_subcommands_load_no_scipy(name, cli):
+    modules = cli(LIGHT[name])
     assert "toothalign.cli" in modules
     assert _scipy(modules) == []
 
 
 @pytest.mark.parametrize("name", sorted(DATA_PATH))
-def test_data_path_subcommands_load_no_scipy(name, work):
-    modules = _imported(["-m", "toothalign", *DATA_PATH[name]], work)
+def test_data_path_subcommands_load_no_scipy(name, cli):
+    modules = cli(DATA_PATH[name])
     assert "toothalign.cli" in modules
     assert _scipy(modules) == []
+
+
+@pytest.mark.parametrize("name", sorted(DATA_PATH))
+def test_no_subcommand_loads_scipy_interpolate(name, cli):
+    modules = cli(DATA_PATH[name])
+    assert "toothalign.cli" in modules
+    assert not [m for m in modules if m.startswith("scipy.interpolate")]
+
+
+@pytest.mark.parametrize("name", ["forward", "iterate"])
+def test_network_subcommands_load_no_spatial_or_sparse(name, cli):
+    modules = cli(DATA_PATH[name])
+    assert "toothalign.swin" in modules
+    assert not [m for m in modules if m.startswith(("scipy.spatial", "scipy.sparse"))]

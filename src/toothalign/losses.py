@@ -23,9 +23,9 @@ import numpy as np
 from .bvh import AabbTree, interlock_masks, nearest_distances
 from .case import ANTERIOR_IDS, Case, Jaw, Tooth, jaw_of_id
 from .config import LossWeights
-from .errors import CorrespondenceMismatch, DegenerateAxis
+from .errors import DegenerateAxis
 from .geometry import RigidTransform, quat_to_matrix
-from .metrics import moved_teeth, paired_moved, residual_transforms
+from .metrics import check_paired_ids, moved_teeth, paired_moved, residual_transforms
 
 
 @dataclass
@@ -154,8 +154,7 @@ def rot_trans_loss(
     test mode: every enhancement factor is 1.0.
     """
     w = weights or LossWeights()
-    if set(pred_transforms) != set(gt_transforms):
-        raise CorrespondenceMismatch("pred and gt transform tooth sets differ")
+    check_paired_ids("transform tooth", pred_transforms, gt_transforms)
     l_rotate = 0.0
     l_trans = 0.0
     grads: dict[int, np.ndarray] = {}

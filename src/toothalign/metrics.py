@@ -36,13 +36,21 @@ class AddCurve:
         }
 
 
+def check_paired_ids(kind: str, pred_ids, gt_ids) -> None:
+    """The one tooth-pairing key check: CorrespondenceMismatch, naming
+    the ids each side lacks, unless both sides hold the same ids."""
+    pred_ids, gt_ids = set(pred_ids), set(gt_ids)
+    if pred_ids != gt_ids:
+        lacks = f"pred lacks {sorted(gt_ids - pred_ids)}, gt lacks {sorted(pred_ids - gt_ids)}"
+        raise CorrespondenceMismatch(f"{kind} sets differ: {lacks}")
+
+
 def add_error(pred_case: Case, gt_case: Case) -> tuple[np.ndarray, float]:
     """Distances between corresponding points, pooled over every
     present tooth, plus their mean (the ADD value)."""
     pred_teeth = {t.id: t for t in pred_case.present_teeth()}
     gt_teeth = {t.id: t for t in gt_case.present_teeth()}
-    if set(pred_teeth) != set(gt_teeth):
-        raise CorrespondenceMismatch("present-tooth sets differ")
+    check_paired_ids("present-tooth", pred_teeth, gt_teeth)
     chunks = []
     for tid in sorted(pred_teeth):
         a, b = pred_teeth[tid], gt_teeth[tid]
@@ -81,8 +89,7 @@ def add_curve(distances, k: float = K_MM) -> AddCurve:
 
 
 def _matched(pred_t: dict, gt_t: dict) -> list:
-    if set(pred_t) != set(gt_t):
-        raise CorrespondenceMismatch("transform tooth sets differ")
+    check_paired_ids("transform tooth", pred_t, gt_t)
     return sorted(pred_t)
 
 
@@ -119,9 +126,7 @@ def paired_moved(pred: Case, gt: Case) -> list[tuple[Tooth, Tooth]]:
     of the losses and the residual metrics. Both cases must move the
     same teeth, and each pair must hold equal point counts."""
     pred_ids = [t.id for t in moved_teeth(pred)]
-    gt_ids = [t.id for t in moved_teeth(gt)]
-    if pred_ids != gt_ids:
-        raise CorrespondenceMismatch(f"moved-tooth sets differ: {pred_ids} vs {gt_ids}")
+    check_paired_ids("moved-tooth", pred_ids, [t.id for t in moved_teeth(gt)])
     pairs = [(pred.tooth(tid), gt.tooth(tid)) for tid in pred_ids]
     for a, b in pairs:
         if a.points.shape != b.points.shape:

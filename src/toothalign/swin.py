@@ -23,11 +23,13 @@ masked. The center and fusion branches take the masked path over all
 unchanged. With zero biases the rows of absent teeth therefore come
 out exactly zero.
 
-A 2D block runs on one chunk of at most 8 windows per row at a time,
-so its temporaries stay small. Neither skipping work nor chunking
-moves a bit: the tests hold the network to a plain full-grid oracle,
-bit for bit, and _grid_block says why its chunks of present-row
-windows give the same bits as the full grid.
+A 2D block runs on one chunk of at most 4 windows per row at a time,
+so its temporaries stay small, and the point tower owns its
+present-row array and overwrites it block by block. Neither skipping
+work, chunking nor writing in place moves a bit: the tests hold the
+network to a plain full-grid oracle, bit for bit, and _grid_block says
+why its chunks of present-row windows give the same bits as the full
+grid and why a block may overwrite its input.
 
 The GELU's erf is a numpy port of cephes' erf (see _erf), which equals
 scipy.special.erf bit for bit, so the module runs on numpy alone.
@@ -57,7 +59,7 @@ WINDOW = 8
 SHIFT = 4
 SWTP_STAGES = 4
 NORM_EPS = 1e-5  # added to the layer-norm variance
-_CHUNK_COLS = 64  # columns of one pass of the 2D block: 8 windows per row
+_CHUNK_COLS = 32  # columns of one pass of the 2D block: 4 windows per row
 
 
 # ------------------------------------------------------------- primitives
@@ -312,8 +314,11 @@ def _window_rows(presence: np.ndarray, shifted: bool) -> list[np.ndarray]:
     return [np.stack(groups) for groups in by_size.values()]
 
 
-def _grid_block(grid: np.ndarray, weights: dict, shifted: bool, presence: np.ndarray) -> np.ndarray:
-    """The 2D block on the (P, W, C) grid of the present rows.
+def _grid_block(
+    grid: np.ndarray, weights: dict, shifted: bool, presence: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """The 2D block on the (P, W, C) grid of the present rows, written
+    into ``out``, which may be ``grid`` itself.
 
     Each window holds the present rows of one band of WINDOW slots, so
     an absent tooth is never normed, projected or masked. This gives
@@ -340,13 +345,14 @@ def _grid_block(grid: np.ndarray, weights: dict, shifted: bool, presence: np.nda
     over at most _CHUNK_COLS columns, or its wrapped column window.
     Norms and the MLP work cell by cell, windows never interact and a
     chunk is whole windows, so no bit moves; only the temporaries shrink.
+    Chunks read and write disjoint cells, and every chunk copies its
+    cells before it writes them, so ``out`` may alias ``grid``.
     """
     rows, w = grid.shape[:2]
     if presence.size % WINDOW or w % WINDOW:
         raise IndivisibleGrid(f"{presence.size}x{w} grid not divisible by window {WINDOW}")
     if rows != np.count_nonzero(presence):
         raise InvalidArgument(f"grid has {rows} rows for {np.count_nonzero(presence)} present slots")
-    out = np.empty_like(grid)
 
     def block(cells, allow=None):
         # the block on (groups, k, W', C) cells as W'/WINDOW * groups windows
@@ -375,7 +381,7 @@ def _grid_block(grid: np.ndarray, weights: dict, shifted: bool, presence: np.nda
     return out
 
 
-def swin_block(grid: np.ndarray, weights: dict, shifted: bool, presence: np.ndarray) -> np.ndarray:
+def swin_block(grid: np.ndarray, weights: dict, shifted: bool, presence: np.ndarray, out=None) -> np.ndarray:
     """Pre-norm transformer block with (shifted-)window attention.
 
     norm -> windowed attention -> residual, then norm -> MLP ->
@@ -384,13 +390,14 @@ def swin_block(grid: np.ndarray, weights: dict, shifted: bool, presence: np.ndar
     provides no key and leaves the block exactly as it entered. A 2D
     grid (P, W, C) holds the rows of the present slots only, in slot
     order, and comes back in the same shape; P other than the number of
-    present slots raises InvalidArgument. The caller's ``grid`` is
-    never written.
+    present slots raises InvalidArgument. A 2D block writes into
+    ``out`` when given, which may be ``grid`` itself, and returns it;
+    otherwise the caller's ``grid`` is never written.
     """
     presence = np.asarray(presence, dtype=bool)
     if grid.ndim == 2:
         return _sequence_block(grid, weights, shifted, presence)
-    return _grid_block(grid, weights, shifted, presence)
+    return _grid_block(grid, weights, shifted, presence, np.empty_like(grid) if out is None else out)
 
 
 def column_merge(grid: np.ndarray, weights: dict) -> np.ndarray:
@@ -430,18 +437,22 @@ def swtp_forward(grid: np.ndarray, weights: dict, presence: np.ndarray, return_t
     count after entry and each stage.
     """
     presence = np.asarray(presence, dtype=bool)
-    x = grid[presence]
+    pooled, trace = _swtp_tower(grid[presence], weights, presence)
+    return (pooled, trace) if return_trace else pooled
+
+
+def _swtp_tower(x: np.ndarray, weights: dict, presence: np.ndarray) -> tuple[np.ndarray, list]:
+    # swtp_forward on the (P, W, C) grid of the present rows, which the
+    # tower owns: each stage's two blocks overwrite it in place
     trace = [x.shape[1]]
     for stage in weights["swtp"]:
-        x = swin_block(x, stage["blk_a"], False, presence)
-        x = swin_block(x, stage["blk_b"], True, presence)
+        x = swin_block(x, stage["blk_a"], False, presence, out=x)
+        x = swin_block(x, stage["blk_b"], True, presence, out=x)
         x = column_merge(x, stage["merge"])
         trace.append(x.shape[1])
     pooled = np.zeros((presence.size, x.shape[2]))
     pooled[presence] = x.mean(axis=1)
-    if return_trace:
-        return pooled, trace
-    return pooled
+    return pooled, trace
 
 
 def positional_encoding() -> np.ndarray:
@@ -542,14 +553,12 @@ def predict_transforms(
     if not presence.any():
         return {}
     mouth = centers[presence].mean(axis=0)
-    data = np.zeros_like(tpi.data)
-    data[presence] = (tpi.data[presence] - mouth) / NORM_SCALE_MM
+    points = (tpi.data[presence] - mouth) / NORM_SCALE_MM
     centers_n = np.zeros_like(centers)
     centers_n[presence] = (centers[presence] - mouth) / NORM_SCALE_MM
 
-    grid = data @ weights["patch_embed"]["w"] + weights["patch_embed"]["b"]
-    grid[~presence] = 0.0
-    f_t = swtp_forward(grid, weights, presence)
+    grid = points @ weights["patch_embed"]["w"] + weights["patch_embed"]["b"]
+    f_t = _swtp_tower(grid, weights, presence)[0]
     f_c = swtbs_forward(center_encoder(centers_n, weights), weights["center_block"], presence)
     fused = (
         np.concatenate([f_c, f_t], axis=1) @ weights["fuse_proj"]["w"]

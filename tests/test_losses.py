@@ -145,6 +145,13 @@ def test_rot_trans_mismatch_raises():
         rot_trans_loss({1: t}, {2: t})
 
 
+def test_rot_trans_loss_names_the_unpaired_teeth():
+    t = RigidTransform.identity(np.zeros(3))
+    message = r"^transform tooth sets differ: pred lacks \[7\], gt lacks \[1, 4\]$"
+    with pytest.raises(CorrespondenceMismatch, match=message):
+        rot_trans_loss({1: t, 4: t, 9: t}, {7: t, 9: t})
+
+
 def test_enhancement_weights_saturate():
     near = RigidTransform(
         quat_from_axis_angle(np.array([1.0, 0.0, 0.0]), 0.2),

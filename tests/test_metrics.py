@@ -93,6 +93,17 @@ def test_add_error_mismatch_raises(small_corpus):
         add_error(pred, gt)
 
 
+def test_add_error_names_the_unpaired_teeth(small_corpus):
+    pred = gt_view(small_corpus[1])
+    gt = gt_view(small_corpus[1])
+    pred.upper.teeth[0].present = False
+    gt.lower.teeth[2].present = False
+    a, b = pred.upper.teeth[0].id, gt.lower.teeth[2].id
+    message = rf"^present-tooth sets differ: pred lacks \[{a}\], gt lacks \[{b}\]$"
+    with pytest.raises(CorrespondenceMismatch, match=message):
+        add_error(pred, gt)
+
+
 # -------------------------------------------------------------- transforms
 
 def test_me_rotate_frozen_geodesics():
@@ -112,6 +123,24 @@ def test_me_mismatch_raises():
     t = _t(0, [0, 0, 1], [0, 0, 0])
     with pytest.raises(CorrespondenceMismatch):
         me_rotate({1: t}, {2: t})
+
+
+def test_me_names_the_unpaired_teeth():
+    t = _t(0, [0, 0, 1], [0, 0, 0])
+    message = r"^transform tooth sets differ: pred lacks \[2, 5\], gt lacks \[1\]$"
+    with pytest.raises(CorrespondenceMismatch, match=message):
+        me_translate({1: t, 3: t}, {2: t, 3: t, 5: t})
+
+
+def test_residual_transforms_name_the_unpaired_moved_teeth(small_corpus):
+    pred = gt_view(small_corpus[2])
+    gt = gt_view(small_corpus[2])
+    tooth = pred.upper.teeth[0]
+    tooth.moved = not tooth.moved
+    side = "gt" if tooth.moved else "pred"
+    message = rf"^moved-tooth sets differ: .*{side} lacks \[{tooth.id}\]"
+    with pytest.raises(CorrespondenceMismatch, match=message):
+        residual_transforms(pred, gt)
 
 
 def test_residual_transforms_recover_planted_offset(small_corpus):

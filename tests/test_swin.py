@@ -429,7 +429,7 @@ def test_block_on_present_rows_equals_full_grid_block(
     assert same_bits(got, want[presence])
 
 
-# the block runs on chunks of 64 columns: the last chunk is partial in
+# the block runs on chunks of 32 columns: the last chunk is partial in
 # the unshifted layout for widths 8, 72, 88, 136 and 520, and in the
 # shifted inner columns (width - 8) for 88 and 512
 @pytest.mark.parametrize("width", [8, 72, 88, 136, 512, 520])
@@ -449,7 +449,7 @@ def test_block_chunks_equal_full_grid_block(weights, biased_weights, width, shif
 @pytest.mark.parametrize("shifted", [False, True])
 def test_block_working_set_is_one_chunk(weights, shifted):
     # counts allocations, times nothing: a stage-1 block on 20 present
-    # rows peaks at about 7 MB above its input (the 2.6 MB output
+    # rows peaks at about 5 MB above its input (the 2.6 MB output
     # included); built for the whole grid at once it took 36.7 MB
     presence = np.zeros(32, dtype=bool)
     presence[3:13] = presence[19:29] = True
@@ -462,6 +462,30 @@ def test_block_working_set_is_one_chunk(weights, shifted):
     finally:
         tracemalloc.stop()
     assert peak <= 8e6
+
+
+@pytest.mark.parametrize("shifted", [False, True])
+@pytest.mark.parametrize("shape", [(32, 24, CHANNELS), (32, CHANNELS)])
+def test_block_leaves_its_input_unwritten(biased_weights, rng, shape, shifted):
+    presence = rng.random(32) < 0.7
+    x = rng.normal(size=shape)
+    if len(shape) == 3:
+        x = x[presence]
+    before = x.copy()
+    swin_block(x, biased_weights["swtp"][1]["blk_a"], shifted, presence)
+    assert same_bits(x, before)
+
+
+@pytest.mark.parametrize("shifted", [False, True])
+def test_block_in_place_equals_fresh_output(biased_weights, rng, shifted):
+    # the tower's use: out is the input grid itself
+    presence = rng.random(32) < 0.7
+    x = rng.normal(size=(int(presence.sum()), 88, CHANNELS))
+    block = biased_weights["swtp"][3]["blk_b"]
+    want = swin_block(x, block, shifted, presence)
+    got = swin_block(x, block, shifted, presence, out=x)
+    assert got is x
+    assert same_bits(got, want)
 
 
 @pytest.mark.parametrize("shifted", [False, True])
@@ -628,6 +652,35 @@ def test_predict_transforms_empty_case(weights, case7):
     assert predict_transforms(tpi, tooth_centers(case), weights) == {}
 
 
+def test_predict_transforms_leaves_its_inputs_unwritten(biased_weights, case7):
+    tpi = build_tooth_point_image(case7, ordering="arch_line")
+    centers = tooth_centers(case7)
+    data, centers_before = tpi.data.copy(), centers.copy()
+    predict_transforms(tpi, centers, biased_weights)
+    assert same_bits(tpi.data, data)
+    assert same_bits(centers, centers_before)
+
+
+def test_forward_working_set_stays_near_the_present_row_grid(weights):
+    # counts allocations, times nothing: one forward pass on 20 present
+    # teeth peaks at about 2.4 times the stage-1 present-row grid above
+    # what was live before it; embedding all 32 rows, a fresh output per
+    # block and chunks of 64 columns took about 5.4 times
+    case = generate_synthetic_case(SynthParams(teeth_per_jaw=10), seed=100)
+    tpi = build_tooth_point_image(case, ordering="arch_line")
+    centers = tooth_centers(case)
+    grid_bytes = int(np.count_nonzero(tpi.presence)) * 512 * CHANNELS * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        predict_transforms(tpi, centers, weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= 3 * grid_bytes
+
+
 def test_predict_case_deterministic(weights, case7):
     a = predict_case(case7, weights)
     b = predict_case(case7, weights)
@@ -662,6 +715,12 @@ FORWARD_CASES = {
 }
 
 
+def _full_grid_block(grid, weights, shifted, presence, out=None):
+    # the oracle in swin_block's place; the point tower writes into its
+    # own grid through out, and takes the oracle's fresh array instead
+    return full_grid_swin_block(grid, weights, shifted, presence)
+
+
 @pytest.mark.parametrize("name", list(FORWARD_CASES))
 def test_predict_transforms_equals_full_grid_forward(weights, biased_weights, monkeypatch, name):
     case = FORWARD_CASES[name]()
@@ -670,7 +729,7 @@ def test_predict_transforms_equals_full_grid_forward(weights, biased_weights, mo
     for w in (weights, biased_weights):
         got = predict_transforms(tpi, centers, w)
         with monkeypatch.context() as m:
-            m.setattr(swin, "swin_block", full_grid_swin_block)
+            m.setattr(swin, "swin_block", _full_grid_block)
             want = predict_transforms(tpi, centers, w)
         assert list(got) == list(want)
         for tid in want:

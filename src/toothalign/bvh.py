@@ -9,7 +9,9 @@ the radius on some axis; rounding is monotone, so every pair it drops
 has a squared distance of at least r * r. Membership is decided by the
 strict ``d2 < r * r`` test, ``d2`` summing the squared axis differences
 in the order ``((a - b) ** 2).sum(-1)`` does. The gap between two clouds
-is a bounded nearest-neighbour search (Friedman, Bentley & Finkel 1977).
+is a bounded nearest-neighbour search (Friedman, Bentley & Finkel 1977),
+written once: ``cloud_gaps`` runs it on a stack of cloud pairs, and
+``cloud_gap`` is its one-pair call.
 """
 
 from __future__ import annotations
@@ -57,9 +59,9 @@ def _d2(a, b) -> np.ndarray:
 
 
 def _near_box(cols, lo, hi, reach) -> np.ndarray:
-    """Indices of the columns' points whose difference from the box
-    [lo, hi] is below reach on every axis."""
-    return np.flatnonzero(((lo[:, None] - cols < reach) & (cols - hi[:, None] < reach)).all(axis=0))
+    """Flags of the columns' points whose difference from the box
+    [lo, hi] is below reach on every axis (leading axis the dimension)."""
+    return ((lo[..., None] - cols < reach) & (cols - hi[..., None] < reach)).all(axis=0)
 
 
 def _min_d2(pc, cols) -> np.ndarray:
@@ -78,10 +80,10 @@ def interlock_masks(a, b, radius: float) -> tuple[np.ndarray, np.ndarray, float]
     (inf when the clouds are separated). Each row of a near b's box is
     paired with the rows of b, near the box of those, in its x window."""
     reach = radius * _INFLATE
-    ia = _near_box(a.cols, b.mins, b.maxes, reach)
+    ia = np.flatnonzero(_near_box(a.cols, b.mins, b.maxes, reach))
     ia = ia[np.argsort(a.cols[0, ia])]  # sorted needles make searchsorted cheap
     ka = a.cols.take(ia, axis=1)
-    jb = _near_box(b.cols, ka.min(axis=1, initial=np.inf), ka.max(axis=1, initial=-np.inf), reach)
+    jb = np.flatnonzero(_near_box(b.cols, ka.min(axis=1, initial=np.inf), ka.max(axis=1, initial=-np.inf), reach))
     jb = jb[np.argsort(b.cols[0, jb])]
     bx = b.cols[0, jb]
     start = np.searchsorted(bx, ka[0] - reach, side="left")
@@ -105,29 +107,55 @@ def nearest_distances(points, tree) -> np.ndarray:
     return np.sqrt(_min_d2(np.asarray(points, dtype=float).T, tree.cols))
 
 
-def cloud_gap(points, tree) -> float:
-    """Smallest distance from any row of points to tree's cloud: exactly
-    ``nearest_distances(points, tree).min()``.
+def _kept(x, mask) -> np.ndarray:
+    """The (dim, pairs, points) coordinates x of each pair's points that
+    mask flags, padded to the largest count with the pair's first one:
+    a duplicate never changes a minimum."""
+    if mask.shape[0] == 1:
+        return x.compress(mask[0], axis=2)
+    counts = mask.sum(axis=1)
+    order = np.argsort(~mask, axis=1, kind="stable")[:, : counts.max()]
+    order = np.where(np.arange(order.shape[1]) < counts[:, None], order, order[:, :1])
+    return x[:, np.arange(x.shape[1])[:, None], order]
+
+
+def cloud_gaps(pc, cols, mins, maxes, centroid) -> np.ndarray:
+    """Per pair k, the smallest distance between the query cloud
+    ``pc[:, k]`` and the tree cloud ``cols[:, k]``, both given as
+    (dim, pairs, points) coordinates, with the tree's box
+    ``mins[:, k]``/``maxes[:, k]`` and centroid ``centroid[:, k]``:
+    exactly the all-pairs minimum.
 
     The query row nearest the tree's centroid gives a real pair, whose
     distance bounds the gap. Rows farther than the bound (inflated, as
     above) from the tree's box are dropped, by a test inflated once more
     to cover its rounding, and so are tree points that far from the box
-    of the rows left; the rest are compared all-pairs. A bound whose
-    square leaves the normal range would lose the inflation to rounding,
-    so such a cloud pair is compared all-pairs in full."""
-    pc = np.asarray(points, dtype=float).T.copy()
-    near = _d2(pc, tree.centroid).argmin()
-    bound = float(np.sqrt(_min_d2(pc[:, near : near + 1], tree.cols)[0]))
-    if not bound * bound > _TINY:
-        return float(np.sqrt(_min_d2(pc, tree.cols).min()))
-    reach = bound * _INFLATE
-    outside = np.maximum(np.maximum(tree.mins[:, None] - pc, pc - tree.maxes[:, None]), 0.0)
+    of the rows left; the rest are compared all-pairs, every pair's rows
+    padded to one count. A bound whose square leaves the normal range
+    would lose the inflation to rounding, so such a cloud pair is
+    compared all-pairs in full."""
+    rows = np.arange(pc.shape[1])
+    near = _d2(pc, centroid[..., None]).argmin(axis=1)
+    bound = np.sqrt(_d2(pc[:, rows, near, None], cols).min(axis=1))
+    reach = np.where(bound * bound > _TINY, bound * _INFLATE, np.inf)[:, None]  # inf keeps every pair
+    outside = np.minimum(np.maximum(pc, mins[..., None]), maxes[..., None]) - pc  # to the box, signed
     keep = (outside * outside).sum(axis=0) <= reach * reach * _INFLATE
-    keep[near] = True
-    pc = pc[:, keep]
-    j = _near_box(tree.cols, pc.min(axis=1), pc.max(axis=1), reach)
-    return float(np.sqrt(_min_d2(pc, tree.cols.take(j, axis=1)).min()))
+    keep[rows, near] = True
+    a = _kept(pc, keep)
+    b = _kept(cols, _near_box(cols, a.min(axis=2), a.max(axis=2), reach))
+    best = np.inf
+    step = max(1, _BLOCK // (rows.size * b.shape[2]))
+    for s in range(0, a.shape[2], step):
+        best = np.minimum(best, _d2(a[:, :, s : s + step, None], b[:, :, None, :]).min(axis=(1, 2)))
+    return np.sqrt(best)
+
+
+def cloud_gap(points, tree) -> float:
+    """Smallest distance from any row of points to tree's cloud: exactly
+    ``nearest_distances(points, tree).min()``; the one-pair cloud_gaps."""
+    pc = np.asarray(points, dtype=float).T[:, None].copy()
+    one = (tree.cols[:, None], tree.mins[:, None], tree.maxes[:, None], tree.centroid[:, None])
+    return float(cloud_gaps(pc, *one)[0])
 
 
 def boxes_apart(a, b, radius: float) -> bool:

@@ -84,7 +84,7 @@ def auc(distances, k: float = K_MM) -> float:
 def add_curve(distances, k: float = K_MM) -> AddCurve:
     d = np.asarray(distances, dtype=float)
     thresholds = np.linspace(0.0, k, CURVE_SAMPLES)
-    fractions = (d[None, :] <= thresholds[:, None]).mean(axis=1)
+    fractions = np.searchsorted(np.sort(d), thresholds, side="right") / d.size  # counts of d <= t
     return AddCurve(thresholds=thresholds, fractions=fractions, k=float(k))
 
 

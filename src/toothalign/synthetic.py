@@ -3,18 +3,22 @@
 Each jaw is a parabolic U-arch of ellipsoidal crown shells. Ground-truth
 (aligned) positions are laid out with controlled surface gaps, so the gt
 jaw is collision-free and respects the augmentation constraints by
-construction. The pre-orthodontic state is produced by perturbing every
-tooth with a known rigid transform about its centroid, which makes exact
-oracle transforms available to callers.
+construction: each placement pass builds every crown of a jaw in one
+stacked array and measures all adjacent gaps in one bvh.cloud_gaps
+query, and a jaw whose gaps have not settled within 0.02 mm after three
+passes raises InfeasibleParams. The pre-orthodontic state is produced
+by perturbing every tooth with a known rigid transform about its
+centroid, which makes exact oracle transforms available to callers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
-from .bvh import AabbTree, cloud_gap
+from .bvh import cloud_gaps
 from .case import Case, Jaw, Tooth
 from .errors import ConfigError, InfeasibleParams
 from .geometry import RigidTransform, random_rigid
@@ -54,16 +58,21 @@ class SynthParams:
             raise ConfigError("perturbation magnitudes must be nonnegative")
 
 
+@cache
 def _fibonacci_sphere(n: int) -> np.ndarray:
+    """n near-uniform unit directions, built once per n and read-only."""
     k = np.arange(n, dtype=float)
     z = 1.0 - 2.0 * (k + 0.5) / n
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     phi = GOLDEN_ANGLE * k
-    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
+    out = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
+    out.flags.writeable = False
+    return out
 
 
 class _Parabola:
-    """y = depth * (1 - (2x / width)^2), arc-length parameterized."""
+    """y = depth * (1 - (2x / width)^2), arc-length parameterized, over
+    read-only arrays."""
 
     def __init__(self, width: float, depth: float, samples: int = 4096):
         self.width = width
@@ -74,6 +83,7 @@ class _Parabola:
         steps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
         self._x = x
         self._arc = np.concatenate([[0.0], np.cumsum(steps)])
+        x.flags.writeable = self._arc.flags.writeable = False
 
     def total(self) -> float:
         return float(self._arc[-1])
@@ -90,27 +100,19 @@ class _Parabola:
         return t / np.linalg.norm(t, axis=-1, keepdims=True)
 
 
-def _crown_cloud(
-    directions: np.ndarray,
-    center: np.ndarray,
-    tangent_xy: np.ndarray,
-    size: float,
-    spin: float,
-    jitter: np.ndarray,
-) -> np.ndarray:
-    """Ellipsoid shell: mesiodistal axis along the arch tangent."""
-    a, b, c = size / 2.0, 0.85 * size / 2.0, 1.05 * size / 2.0
-    cs, sn = np.cos(spin), np.sin(spin)
-    spun = directions.copy()
-    spun[:, 0] = cs * directions[:, 0] - sn * directions[:, 1]
-    spun[:, 1] = sn * directions[:, 0] + cs * directions[:, 1]
-    local = spun * jitter[:, None] * np.array([a, b, c])
-    tx, ty = tangent_xy
-    world = np.empty_like(local)
-    world[:, 0] = center[0] + local[:, 0] * tx - local[:, 1] * ty
-    world[:, 1] = center[1] + local[:, 0] * ty + local[:, 1] * tx
-    world[:, 2] = center[2] + local[:, 2]
-    return world
+_arch_curve = cache(_Parabola)  # one shared curve per (width, depth)
+
+
+def _crown_clouds(directions, centers, tangents, sizes, spins, jitters) -> np.ndarray:
+    """Ellipsoid shells, crown i about centers[i] with its mesiodistal
+    axis along tangents[i], as (3, crowns, points) coordinates."""
+    cs, sn = np.cos(spins)[:, None], np.sin(spins)[:, None]
+    dx, dy, dz = directions.T
+    lx = (cs * dx - sn * dy) * jitters * (sizes / 2.0)[:, None]
+    ly = (sn * dx + cs * dy) * jitters * (0.85 * sizes / 2.0)[:, None]
+    lz = dz * jitters * (1.05 * sizes / 2.0)[:, None]
+    (cx, cy, cz), (tx, ty) = centers.T[..., None], tangents.T[..., None]
+    return np.stack([cx + lx * tx - ly * ty, cy + lx * ty + ly * tx, cz + lz])
 
 
 def _build_jaw(side: str, ids: list[int], params: SynthParams, rng) -> Jaw:
@@ -119,7 +121,7 @@ def _build_jaw(side: str, ids: list[int], params: SynthParams, rng) -> Jaw:
     # outlines of opposing crowns stay clear of each other: generated
     # cases have no occlusal contact within the default overlap radius.
     scale = 1.0 if side == "upper" else 0.80  # lower arch sits slightly inside
-    curve = _Parabola(params.arch_width * scale, params.arch_depth * scale)
+    curve = _arch_curve(params.arch_width * scale, params.arch_depth * scale)
     sizes = rng.uniform(*params.crown_size_range, size=n)
     gaps = rng.uniform(*params.gap_range, size=n - 1)
     z_jitter = rng.uniform(-0.15, 0.15, size=n)
@@ -135,7 +137,6 @@ def _build_jaw(side: str, ids: list[int], params: SynthParams, rng) -> Jaw:
     directions = _fibonacci_sphere(params.points_per_tooth)
 
     margin = 0.5
-    clouds: list[np.ndarray] = []
     for _ in range(3):  # placement passes: measure gaps, then correct spacing
         total_span = float(spacing.sum()) + float(sizes[0] + sizes[-1]) / 2.0
         need, offer = total_span + 2.0 * margin, curve.total()
@@ -151,28 +152,25 @@ def _build_jaw(side: str, ids: list[int], params: SynthParams, rng) -> Jaw:
         arcs = start + np.concatenate([[0.0], np.cumsum(spacing)])
         centers = np.column_stack([curve.at(arcs), z_centers])
         tangents = curve.tangent(arcs)
-        clouds = [
-            _crown_cloud(directions, centers[i], tangents[i], sizes[i], spins[i], jitters[i])
-            for i in range(n)
-        ]
-        measured = np.array([cloud_gap(clouds[i], AabbTree(clouds[i + 1])) for i in range(n - 1)])
+        cols = _crown_clouds(directions, centers, tangents, sizes, spins, jitters)
+        tree = cols[:, 1:]
+        measured = cloud_gaps(cols[:, :-1], tree, tree.min(axis=2), tree.max(axis=2), tree.mean(axis=2))
         err = gaps - measured
         if np.abs(err).max() < 0.02:
             break
         spacing = spacing + err
-
-    teeth = []
-    for i, tid in enumerate(ids):
-        teeth.append(
-            Tooth(
-                id=tid,
-                present=True,
-                moved=True,
-                points=clouds[i],  # replaced by the perturbed copy later
-                gt_points=clouds[i].copy(),
-                proxy_radius=params.proxy_radius,
-            )
+    else:
+        k = int(np.abs(err).argmax())
+        raise InfeasibleParams(
+            f"{side} jaw: the gap between teeth {ids[k]} and {ids[k + 1]} is still "
+            f"{abs(err[k]):.4f} mm off its {gaps[k]:.4f} mm target after 3 placement passes"
         )
+
+    clouds = cols.transpose(1, 2, 0)  # points are replaced by the perturbed copy later
+    teeth = [
+        Tooth(tid, points=clouds[i], gt_points=clouds[i].copy(), proxy_radius=params.proxy_radius)
+        for i, tid in enumerate(ids)
+    ]
     return Jaw(side, teeth)
 
 

@@ -8,12 +8,14 @@ import contextlib
 import importlib.util
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -106,6 +108,59 @@ def test_summary_and_outputs_of_the_committed_bench_files():
     assert [line.split(" (")[0] for line in tool.output_lines(parent, change)] == [
         f"{w} outputs: equal" for w in ("augment", "align", "cli")
     ]
+
+
+def test_moved_layers_print_between_the_verdicts_and_the_outputs(tool, tmp_path, capsys, monkeypatch):
+    canned = tool.run_bench
+
+    def slower_traced_change(checkout, workload, trace):
+        run = canned(checkout, workload, trace)
+        if trace and checkout != tool.tree:
+            run["result"]["metrics"]["swin.window_attention_s"]["value"] += 10.0
+        return run
+
+    monkeypatch.setattr(tool, "run_bench", slower_traced_change)
+    (tmp_path / "BENCH_parent.json").write_text(STALE)
+    assert tool.main(["--parent", "HEAD", "--pairs", "4", "--out-dir", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 12
+    assert lines[6:9] == [
+        f"{w} swin.window_attention_s (traced): parent 1.5 [0.75, 2.25] change 11.5 [10.75, 12.25] +666.7%, "
+        "better in 0/4: worse (median moved past the parent IQR)"
+        for w in ("augment", "align", "cli")
+    ]
+    assert [line.split(" (")[0] for line in lines[9:]] == [f"{w} outputs: equal" for w in ("augment", "align", "cli")]
+
+
+LAYER_LINE = re.compile(
+    r"(\w+) (\S+) \(traced\): parent (\S+) \[\S+, \S+\] change (\S+) \[\S+, \S+\] [+-]\d+\.\d%, "
+    r"better in \d+/10: (better|worse) \(median moved past the parent IQR\)"
+)
+
+
+def test_layer_lines_of_the_committed_bench_files():
+    """A per-layer metric is printed exactly when its traced median moved
+    past the parent's interquartile range, with the medians the summaries
+    hold; the committed pair has such layers."""
+    tool = _load_tool()
+    parent, change = (json.loads((ROOT / f"BENCH_{s}.json").read_text()) for s in ("parent", "change"))
+    per_layer = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    printed = {}
+    for line in tool.verdict_lines(parent, change, per_layer, trace=1):
+        workload, name, p_median, c_median, word = LAYER_LINE.fullmatch(line).groups()
+        printed[workload, name] = p_median, c_median, word
+    assert printed
+    for workload in ("augment", "align", "cli"):
+        for metric in per_layer:
+            name = metric["name"]
+            p, c = (tool.run_values(b, workload, name, trace=1) for b in (parent, change))
+            q1, median, q3 = np.percentile(p, [25, 50, 75])
+            moved = abs(np.median(c) - median) > q3 - q1
+            assert ((workload, name) in printed) == moved, (workload, name)
+            if moved:
+                medians = [b["summary"][workload]["per_layer"][name]["median"] for b in (parent, change)]
+                word = "better" if (np.median(c) < median) == (metric["better"] == "lower") else "worse"
+                assert printed[workload, name] == (*(f"{m:.4g}" for m in medians), word)
 
 
 def _runs(workload, digests):

@@ -4,7 +4,9 @@ equal a numpy all-pairs scan bit for bit, including lattices where many
 pairs sit exactly at the radius (a pair at exactly the radius is
 outside) and many pairs tie for the gap, and separated clouds, where
 the gap query drops most rows by their distance to the other cloud's
-box. A box test that reports two clouds apart leaves no pair to flag."""
+box. The stacked gap query answers several such pairs in one call, bit
+for bit. A box test that reports two clouds apart leaves no pair to
+flag."""
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from toothalign.bvh import AabbTree, boxes_apart, cloud_gap, interlock_masks, nearest_distances
+from toothalign.bvh import AabbTree, boxes_apart, cloud_gap, cloud_gaps, interlock_masks, nearest_distances
 from toothalign.errors import EmptyCloud
 
 from oracles import all_pairs_proximity, same_bits
@@ -32,6 +34,23 @@ def _assert_matches_all_pairs(a, b, radius):
     assert same_bits(cloud_gap(b, tree_a), want_gap)
     if boxes_apart(tree_a, tree_b, radius):
         assert not want_a.any()
+    _assert_stacked_gaps_match_all_pairs(a, b)
+
+
+def _assert_stacked_gaps_match_all_pairs(a, b):
+    """One stacked query over pairs of equal shape made from a and b:
+    the pair itself, both clouds reversed, and a moved past b's box on
+    x, so a single call mixes pruned pairs with coincident or tiny ones
+    that take the all-pairs path."""
+    span = max(np.ptp(a[:, 0]), np.ptp(b[:, 0]))
+    moved = a.copy()
+    moved[:, 0] += b[:, 0].max() - a[:, 0].min() + 2.0 * span + 1.0
+    pairs = [(a, b), (a[::-1], b[::-1]), (moved, b)]
+    pc = np.stack([q.T for q, _ in pairs], axis=1)
+    cols = np.stack([t.T for _, t in pairs], axis=1)
+    got = cloud_gaps(pc, cols, cols.min(axis=2), cols.max(axis=2), cols.mean(axis=2))
+    want = [all_pairs_proximity(q, t, 0.0)[4] for q, t in pairs]
+    assert same_bits(got, np.array(want))
 
 
 @st.composite

@@ -72,6 +72,19 @@ def test_add_curve_grid():
     assert len(payload["fractions"]) == CURVE_SAMPLES
 
 
+
+def test_add_curve_counts_equal_the_broadcast_comparison():
+    # distances exactly on thresholds (0, k and inner grid points), just
+    # beside them, repeated, and past k
+    k = 5.0
+    grid = np.linspace(0.0, k, CURVE_SAMPLES)
+    d = np.concatenate([grid[[0, 0, 1, 128, 255, 256, 256]], np.nextafter(grid[[1, 128]], np.inf), [7.0, 0.3]])
+    for sample in (d, d[::-1], d[:1], grid):
+        want = (sample[None, :] <= grid[:, None]).mean(axis=1)
+        got = add_curve(sample, k=k).fractions
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 # --------------------------------------------------------------------- add
 
 def test_add_error_hand_value(small_corpus):

@@ -7,7 +7,9 @@ import re
 import numpy as np
 import pytest
 
+from toothalign import synthetic
 from toothalign.augment import adjacent_gaps, detect_collisions
+from toothalign.cli import main
 from toothalign.errors import ConfigError, InfeasibleParams
 from toothalign.geometry import kabsch_recover, rotation_angle_between
 from toothalign.seeding import derive_seed
@@ -36,6 +38,54 @@ def test_determinism():
         assert np.array_equal(ta.gt_points, tb.gt_points)
 
 
+def test_shared_curve_and_sphere_are_read_only():
+    curve = synthetic._arch_curve(64.0, 44.0)
+    assert synthetic._arch_curve(64.0, 44.0) is curve
+    for array in (curve._x, curve._arc, synthetic._fibonacci_sphere(512)):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
+def test_writing_into_a_case_does_not_reach_the_next_one():
+    params = SynthParams(teeth_per_jaw=8, points_per_tooth=64)
+    first = generate_synthetic_case(params, seed=3)
+    want = [(t.points.copy(), t.gt_points.copy()) for t in first.upper.teeth + first.lower.teeth]
+    for tooth in first.upper.teeth + first.lower.teeth:
+        tooth.points *= 2.0
+        tooth.gt_points += 1.0
+    again = generate_synthetic_case(params, seed=3)
+    for (points, gt_points), tooth in zip(want, again.upper.teeth + again.lower.teeth):
+        assert np.ascontiguousarray(tooth.points).tobytes() == points.tobytes()
+        assert np.ascontiguousarray(tooth.gt_points).tobytes() == gt_points.tobytes()
+
+
+def _gaps_measured_as_zero(monkeypatch):
+    """Every placement pass then finds each gap a whole target short."""
+    monkeypatch.setattr(synthetic, "cloud_gaps", lambda pc, *tree: np.zeros(pc.shape[1]))
+
+
+def test_unsettled_placement_raises_naming_the_teeth(monkeypatch):
+    _gaps_measured_as_zero(monkeypatch)
+    with pytest.raises(InfeasibleParams) as info:
+        generate_synthetic_case(SynthParams(teeth_per_jaw=8), seed=1)
+    assert re.fullmatch(
+        r"upper jaw: the gap between teeth \d+ and \d+ is still (\d\.\d{4}) mm off "
+        r"its \1 mm target after 3 placement passes",
+        str(info.value),
+    )
+    first, second = map(int, re.findall(r"teeth (\d+) and (\d+)", str(info.value))[0])
+    assert 5 <= first and second == first + 1 <= 12
+
+
+def test_gen_exits_2_with_one_line_when_placement_does_not_settle(monkeypatch, capsys, caplog, tmp_path):
+    _gaps_measured_as_zero(monkeypatch)
+    assert main(["gen", "--teeth", "8", "-o", str(tmp_path)]) == 2
+    records = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(records) == 1 and records[0].startswith("InfeasibleParams: upper jaw: the gap between teeth ")
+    assert capsys.readouterr().out == ""
+
+
 def test_seed_changes_output():
     a = generate_synthetic_case(seed=1)
     b = generate_synthetic_case(seed=2)
@@ -55,8 +105,8 @@ def gt_view_jaw(case, jaw):
 
 
 def test_gt_gaps_match_request(small_corpus):
-    # placement iterates until measured gaps track the drawn targets;
-    # allow slack for the 3-pass cutoff
+    # placement settles every gap within 0.02 mm of its drawn target,
+    # or raises
     lo, hi = SynthParams().gap_range
     for case in small_corpus:
         for jaw in (gt_view(case).upper, gt_view(case).lower):

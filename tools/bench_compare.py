@@ -26,7 +26,10 @@ reads ``better`` or ``worse`` only when its median moved by more than
 the parent's interquartile range, and ``unresolved`` otherwise, when
 either side has fewer than 3 runs (too few for an interquartile
 range), or when the parent's runs spread (max - min, over the median)
-past the metric's bound. Last comes one ``outputs`` line per workload,
+past the metric's bound. Then comes one line per workload and
+per-layer metric whose traced median moved past the parent's
+interquartile range, in the same form; per-layer metrics have no bound,
+so no spread test applies. Last comes one ``outputs`` line per workload,
 ``equal`` when every run of both sides gave one output digest. The ``cli``
 digest covers every chain a run fitted, so its runs are compared only
 at chain counts that both sides ran. The exit code is 0 when every run
@@ -144,12 +147,12 @@ def summarize(runs: list) -> dict:
     return summary
 
 
-def untraced(bench: dict, workload: str, metric: str) -> list[float]:
-    """The metric's values over the untraced runs of a workload, in run order."""
+def run_values(bench: dict, workload: str, metric: str, trace: int = 0) -> list[float]:
+    """The metric's values over the untraced (or traced) runs of a workload, in run order."""
     return [
         r["result"]["metrics"][metric]["value"]
         for r in bench["runs"]
-        if r["run"]["workload"] == workload and r["run"]["trace"] == 0 and metric in r["result"]["metrics"]
+        if r["run"]["workload"] == workload and r["run"]["trace"] == trace and metric in r["result"]["metrics"]
     ]
 
 
@@ -185,19 +188,24 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
     }
 
 
-def verdict_lines(parent: dict, change: dict, end_to_end: list[dict]) -> list[str]:
+def verdict_lines(parent: dict, change: dict, metrics: list[dict], trace: int = 0) -> list[str]:
+    """One verdict line per workload and metric, over the untraced runs.
+    Over the traced runs (per-layer metrics, which have no bound) only the
+    metrics whose median moved past the parent's interquartile range."""
     lines = []
     workloads = dict.fromkeys(r["run"]["workload"] for r in parent["runs"])
     for workload in workloads:
-        for metric in end_to_end:
+        for metric in metrics:
             name = metric["name"]
-            p, c = untraced(parent, workload, name), untraced(change, workload, name)
+            p, c = run_values(parent, workload, name, trace), run_values(change, workload, name, trace)
             if not p or not c:
                 continue
-            v = verdict(p, c, metric["better"], metric["bound"])
+            v = verdict(p, c, metric["better"], metric.get("bound", float("inf")))
+            if trace and v["verdict"] == "unresolved":
+                continue
             (p1, pm, p3), (c1, cm, c3) = v["parent"], v["change"]
             lines.append(
-                f"{workload} {name}: parent {pm:.4g} [{p1:.4g}, {p3:.4g}] "
+                f"{workload} {name}{' (traced)' if trace else ''}: parent {pm:.4g} [{p1:.4g}, {p3:.4g}] "
                 f"change {cm:.4g} [{c1:.4g}, {c3:.4g}] {v['move']:+.1%}, "
                 f"better in {v['wins']}/{v['pairs']}: {v['verdict']} ({v['why']})"
             )
@@ -241,7 +249,7 @@ def main(argv=None) -> int:
 
 
 def compare(args) -> int:
-    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     machine = machine_record()
     try:
         sha = _git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
@@ -274,7 +282,8 @@ def compare(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     parent, change = benches["parent"], benches["change"]
-    for line in verdict_lines(parent, change, end_to_end) + output_lines(parent, change):
+    layers = verdict_lines(parent, change, declared.get("per_layer", []), trace=1)
+    for line in verdict_lines(parent, change, declared["end_to_end"]) + layers + output_lines(parent, change):
         print(line)
     return 0
 

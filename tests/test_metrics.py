@@ -72,7 +72,6 @@ def test_add_curve_grid():
     assert len(payload["fractions"]) == CURVE_SAMPLES
 
 
-
 def test_add_curve_counts_equal_the_broadcast_comparison():
     # distances exactly on thresholds (0, k and inner grid points), just
     # beside them, repeated, and past k

@@ -74,8 +74,8 @@ class ArchLine:
     tangents: np.ndarray  # (m, 3)
     tooth_ids: tuple[int, ...] | None = None
     lingual_reference: np.ndarray | None = None
-    midline_param: float | None = None
 
+    midline_param: float = field(init=False)  # where the jaw midline crosses the curve
     _rows: np.ndarray = field(init=False, repr=False)  # (9, 3, m - 1)
     _ends: np.ndarray = field(init=False, repr=False)  # (3, 3, m - 1)
     _table_t: np.ndarray = field(init=False, repr=False)
@@ -113,17 +113,10 @@ class ArchLine:
             self.lingual_reference = self.knots.mean(axis=0)
         else:
             self.lingual_reference = np.asarray(self.lingual_reference, dtype=float)
-        if self.midline_param is None:
-            self.midline_param = self._default_midline()
+        self.midline_param = self._midline_param()
 
     @classmethod
-    def from_centers(
-        cls,
-        centers,
-        tooth_ids=None,
-        lingual_reference=None,
-        midline_param: float | None = None,
-    ) -> "ArchLine":
+    def from_centers(cls, centers, tooth_ids=None, lingual_reference=None) -> "ArchLine":
         """Catmull-Rom arch through ``centers`` (anatomical order)."""
         c = np.asarray(centers, dtype=float)
         if c.ndim != 2 or c.shape[1] != 3 or c.shape[0] < 2:
@@ -134,15 +127,9 @@ class ArchLine:
         tangents[-1] = c[-1] - c[-2]
         if m > 2:
             tangents[1:-1] = 0.5 * (c[2:] - c[:-2])
-        return cls(
-            c,
-            tangents,
-            tuple(tooth_ids) if tooth_ids is not None else None,
-            lingual_reference,
-            midline_param,
-        )
+        return cls(c, tangents, tuple(tooth_ids) if tooth_ids is not None else None, lingual_reference)
 
-    def _default_midline(self) -> float:
+    def _midline_param(self) -> float:
         if self.tooth_ids:
             offs = [midline_offset(i) for i in self.tooth_ids]
             order = np.argsort(offs, kind="stable")

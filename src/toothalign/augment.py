@@ -32,6 +32,8 @@ _Clouds).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .arch import ArchLine, fit_arch_line
@@ -260,19 +262,6 @@ def resolve_collisions_verbose(
 
 # ------------------------------------------------------------ case drivers
 
-def _gt_jaw(jaw: Jaw) -> Jaw:
-    """Copy of the jaw posed at its ground-truth geometry."""
-    out = jaw.copy()
-    for tooth in out.present_teeth():
-        if tooth.gt_points is None:
-            raise CorrespondenceMismatch(
-                f"tooth {tooth.id} has no gt_points; augmentation needs targets"
-            )
-        tooth.points = tooth.gt_points.copy()
-        tooth.moved = False
-    return out
-
-
 def _measure(
     jaw: Jaw, arch: ArchLine | None, config: AugmentConfig, clouds: _Clouds
 ) -> tuple[float, float, str]:
@@ -337,8 +326,9 @@ def check_constraints(case: Case, config: AugmentConfig) -> dict:
         teeth = jaw.present_teeth()
         arch = None
         if len(teeth) >= 2:
-            has_gt = all(t.gt_points is not None for t in teeth)
-            arch = fit_arch_line(_gt_jaw(jaw)) if has_gt else fit_arch_line(jaw)
+            at_targets = all(t.gt_points is not None for t in teeth)
+            posed = Jaw(side, [replace(t, points=t.gt_points) for t in teeth]) if at_targets else jaw
+            arch = fit_arch_line(posed)
         clouds = _Clouds()
         gap, dist, broken = _measure(jaw, arch, config, clouds)
         jaws[side] = _jaw_entry(jaw, gap, dist, broken, len(detect_collisions(jaw, clouds)), config)
@@ -351,12 +341,12 @@ def constrained_augment_case_report(
     """Simulated pre-treatment case from target geometry, plus its
     constraint report.
 
-    Per jaw: fit the arch to target centers, displace each tooth
-    (per-tooth derived seeds), then alternate regularization and
-    collision resolution until both families of constraints hold.
-    Targets pass through bit-identical. The report is the last joint
-    round's measurement, which check_constraints would repeat on the
-    same arch and geometry.
+    Per jaw: pose each present tooth of the copy at its targets, fit the
+    arch to their centers, displace each tooth (per-tooth derived
+    seeds), then alternate regularization and collision resolution
+    until both families of constraints hold. Targets pass through
+    bit-identical. The report is the last joint round's measurement,
+    which check_constraints would repeat on the same arch and geometry.
     """
     config = config or AugmentConfig()
     out = gt_case.copy()
@@ -364,28 +354,32 @@ def constrained_augment_case_report(
     iterations: dict[str, int] = {}
     clouds = _Clouds()
     for side in ("upper", "lower"):
-        working = _gt_jaw(out.jaw(side))
-        arch = fit_arch_line(working)
-        for tooth in working.present_teeth():
+        jaw = out.jaw(side)
+        teeth = jaw.present_teeth()
+        for tooth in teeth:
+            if tooth.gt_points is None:
+                raise CorrespondenceMismatch(
+                    f"tooth {tooth.id} has no gt_points; augmentation needs targets"
+                )
+            tooth.points = tooth.gt_points  # every move rebinds points (see _Clouds)
+        arch = fit_arch_line(jaw)
+        for tooth in teeth:
             t = perturb_tooth(tooth, derive_seed(seed, "perturb", out.id, tooth.id), config)
             tooth.points = t.apply(tooth.points)
         total_iters = 0
         for _ in range(_JOINT_ROUNDS):
-            jaw_regularize(working, arch, config, clouds)
-            total_iters += resolve_collisions_verbose(working, arch, config, clouds)
-            gap, dist, broken = _measure(working, arch, config, clouds)
+            jaw_regularize(jaw, arch, config, clouds)
+            total_iters += resolve_collisions_verbose(jaw, arch, config, clouds)
+            gap, dist, broken = _measure(jaw, arch, config, clouds)
             if not broken:
                 break
         else:
             raise ConstraintViolation(f"jaw {side}: after {_JOINT_ROUNDS} joint rounds, {broken}")
         # resolve_collisions_verbose returns only on a collision-free jaw
-        jaws[side] = _jaw_entry(working, gap, dist, broken, 0, config)
+        jaws[side] = _jaw_entry(jaw, gap, dist, broken, 0, config)
         iterations[side] = total_iters
-        target = out.jaw(side)
-        for tooth in working.present_teeth():
-            dst = target.get(tooth.id)
-            dst.points = tooth.points
-            dst.moved = not np.array_equal(tooth.points, dst.gt_points)
+        for tooth in teeth:
+            tooth.moved = not np.array_equal(tooth.points, tooth.gt_points)
     report = _report(out.id, jaws)
     report["collision_iterations"] = iterations
     return out, report

@@ -33,7 +33,7 @@ from .errors import (
     ValidationError,
 )
 from .geometry import fps_sample
-from .metrics import K_MM, evaluate_cases, iteration_metrics
+from .metrics import K_MM, check_paired_ids, evaluate_cases, iteration_metrics
 from .seeding import derive_seed
 
 # Import rule: the heavier modules (augment, losses, synthetic, swin) are
@@ -94,8 +94,7 @@ def _cmd_gen(args) -> dict:
 
 
 def _cmd_sample(args) -> dict:
-    config = _load_config(args)
-    n = args.points if args.points is not None else config.points_per_tooth
+    n = args.points
     case = load_case(args.infile, expected_points=None)
     for tooth in case.present_teeth():
         if tooth.points.shape[0] < n:
@@ -209,8 +208,7 @@ def _load_dir(path: str) -> dict:
 def _cmd_eval(args) -> dict:
     preds = _load_dir(args.pred_dir)
     gts = _load_dir(args.gt_dir)
-    if set(preds) != set(gts):
-        raise ValidationError("pred and gt directories hold different case ids")
+    check_paired_ids("case", preds, gts)
     pairs = [(preds[cid], gts[cid]) for cid in sorted(preds)]
     report, curve = evaluate_cases(pairs, k=args.k)
     report["curve"] = curve.to_dict()
@@ -255,9 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen)
 
     p = subs.add_parser("sample", help="farthest-point downsample a dense case")
-    _common(p, seed=False)
     p.add_argument("--in", dest="infile", required=True, help="input case (any point count)")
-    p.add_argument("-n", "--points", type=int, default=None, help=f"points per tooth (default {POINT_COUNT})")
+    p.add_argument("-n", "--points", type=int, default=POINT_COUNT, help=f"points per tooth (default {POINT_COUNT})")
     p.add_argument("-o", "--out", required=True, help="output case file")
     p.set_defaults(func=_cmd_sample)
 

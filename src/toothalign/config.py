@@ -69,7 +69,6 @@ class LossWeights:
 class Config:
     seed: int = 0
     ordering: str = "arch_line"
-    points_per_tooth: int = 512
     augment: AugmentConfig = field(default_factory=AugmentConfig)
     loss: LossWeights = field(default_factory=LossWeights)
 
@@ -78,8 +77,6 @@ class Config:
             raise ConfigError("seed must be a nonnegative integer")
         if self.ordering not in ORDERING_MODES:
             raise ConfigError(f"ordering must be one of {sorted(ORDERING_MODES)}")
-        if self.points_per_tooth < 1:
-            raise ConfigError("points_per_tooth must be positive")
 
 
 def _checked(name: str, value, default, context: str):

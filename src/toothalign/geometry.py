@@ -101,11 +101,6 @@ def axis_angle_from_quat(q) -> tuple[np.ndarray, float]:
     return q[1:] / s, angle
 
 
-def quat_rotation_angle(q) -> float:
-    """Rotation angle in radians, in [0, pi]."""
-    return axis_angle_from_quat(q)[1]
-
-
 def quat_to_matrix(q) -> np.ndarray:
     """3x3 rotation matrix of a quaternion (normalized internally)."""
     w, x, y, z = quat_normalize(q)
@@ -198,8 +193,8 @@ class RigidTransform:
         )
 
     def angle(self) -> float:
-        """Rotation angle in radians."""
-        return quat_rotation_angle(self.rotation)
+        """Rotation angle in radians, in [0, pi]."""
+        return axis_angle_from_quat(self.rotation)[1]
 
 
 def random_rigid(rng, max_angle: float, trans_mu: float, trans_sigma: float, pivot) -> RigidTransform:

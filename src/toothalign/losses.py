@@ -198,12 +198,6 @@ def opposing_region(
     return region
 
 
-def region_points(region: list[Tooth]) -> np.ndarray:
-    if not region:
-        return np.zeros((0, 3))
-    return np.concatenate([t.points for t in region])
-
-
 def occlusal_overlap_mask(
     tooth: Tooth, region: list[Tooth], tau: float = LossWeights.tau, contacts: dict | None = None
 ) -> np.ndarray:
@@ -216,7 +210,7 @@ def occlusal_overlap_mask(
     """
     if not region:
         return np.zeros(tooth.points.shape[0], dtype=bool)
-    b = region_points(region)
+    b = np.concatenate([t.points for t in region])
     mask_t, mask_b, _ = interlock_masks(AabbTree(tooth.points[:, :2]), AabbTree(b[:, :2]), tau)
     if contacts is not None:
         contacts[tooth.id] = (mask_t, b, mask_b)
@@ -343,9 +337,7 @@ def total_loss(
     w = weights or LossWeights()
     l_recon, g_recon = recon_loss(pred_case, gt_case)
     gt_t = residual_transforms(pred_case, gt_case)
-    pred_t = {
-        tid: RigidTransform.identity(pred_case.tooth(tid).centroid()) for tid in gt_t
-    }
+    pred_t = {tid: RigidTransform.identity() for tid in gt_t}
     zeta = None if test_mode else enhancement_weights(gt_t, w)
     l_rotate, l_trans, l_val, g_val = rot_trans_loss(pred_t, gt_t, w, zeta)
     contacts = occlusal_contacts(pred_case, w.tau)

@@ -45,17 +45,24 @@ def check_paired_ids(kind: str, pred_ids, gt_ids) -> None:
         raise CorrespondenceMismatch(f"{kind} sets differ: {lacks}")
 
 
+def _paired(kind: str, pred_teeth: list[Tooth], gt_teeth: list[Tooth]) -> list[tuple[Tooth, Tooth]]:
+    """(pred, gt) pairs by id: the one tooth pairing of the losses and
+    the metrics. Both sides must hold the same ids (see
+    check_paired_ids), and each pair must hold equal point counts."""
+    gt_by_id = {t.id: t for t in gt_teeth}
+    check_paired_ids(kind, [t.id for t in pred_teeth], gt_by_id)
+    pairs = [(a, gt_by_id[a.id]) for a in sorted(pred_teeth, key=lambda t: t.id)]
+    for a, b in pairs:
+        if a.points.shape != b.points.shape:
+            raise CorrespondenceMismatch(f"tooth {a.id}: point counts differ")
+    return pairs
+
+
 def add_error(pred_case: Case, gt_case: Case) -> tuple[np.ndarray, float]:
     """Distances between corresponding points, pooled over every
     present tooth, plus their mean (the ADD value)."""
-    pred_teeth = {t.id: t for t in pred_case.present_teeth()}
-    gt_teeth = {t.id: t for t in gt_case.present_teeth()}
-    check_paired_ids("present-tooth", pred_teeth, gt_teeth)
     chunks = []
-    for tid in sorted(pred_teeth):
-        a, b = pred_teeth[tid], gt_teeth[tid]
-        if a.points.shape != b.points.shape:
-            raise CorrespondenceMismatch(f"tooth {tid}: point counts differ")
+    for a, b in _paired("present-tooth", pred_case.present_teeth(), gt_case.present_teeth()):
         d = a.points - b.points
         chunks.append(np.sqrt((d * d).sum(axis=1)))
     distances = np.concatenate(chunks)
@@ -122,16 +129,8 @@ def moved_teeth(case: Case) -> list[Tooth]:
 
 
 def paired_moved(pred: Case, gt: Case) -> list[tuple[Tooth, Tooth]]:
-    """(pred, gt) pairs of the moved teeth, by id: the one tooth pairing
-    of the losses and the residual metrics. Both cases must move the
-    same teeth, and each pair must hold equal point counts."""
-    pred_ids = [t.id for t in moved_teeth(pred)]
-    check_paired_ids("moved-tooth", pred_ids, [t.id for t in moved_teeth(gt)])
-    pairs = [(pred.tooth(tid), gt.tooth(tid)) for tid in pred_ids]
-    for a, b in pairs:
-        if a.points.shape != b.points.shape:
-            raise CorrespondenceMismatch(f"tooth {a.id}: point counts differ")
-    return pairs
+    """(pred, gt) pairs of the moved teeth, by id (see _paired)."""
+    return _paired("moved-tooth", moved_teeth(pred), moved_teeth(gt))
 
 
 def recover_tooth(tooth_id: int, src, dst) -> RigidTransform:
@@ -157,9 +156,7 @@ def case_metrics(pred_case: Case, gt_case: Case, k: float = K_MM) -> dict:
 def _case_metrics(pred_case: Case, gt_case: Case, k: float) -> tuple[dict, np.ndarray]:
     distances, add = add_error(pred_case, gt_case)
     residual = residual_transforms(pred_case, gt_case)
-    identity = {
-        tid: RigidTransform.identity(t.pivot) for tid, t in residual.items()
-    }
+    identity = {tid: RigidTransform.identity() for tid in residual}
     row = {
         "add_mm": add,
         "auc": auc(distances, k),

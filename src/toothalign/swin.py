@@ -585,6 +585,4 @@ def predict_transforms(
 def predict_case(case: Case, weights: dict, ordering: str = "arch_line", seed: int = 0) -> Case:
     """One forward pass applied back onto the case geometry."""
     tpi = build_tooth_point_image(case, ordering=ordering, seed=seed)
-    transforms = predict_transforms(tpi, tooth_centers(case), weights)
-    moved_only = {tid: t for tid, t in transforms.items() if case.tooth(tid).moved}
-    return tooth_assembler(case, moved_only)
+    return tooth_assembler(case, predict_transforms(tpi, tooth_centers(case), weights))

@@ -21,7 +21,7 @@ from toothalign.augment import (
 from toothalign.bvh import AabbTree, cloud_gap
 from toothalign.case import Jaw, Tooth
 from toothalign.config import config_from_dict
-from toothalign.errors import CollisionUnresolved, ConfigError, ConstraintViolation
+from toothalign.errors import CollisionUnresolved, ConfigError, ConstraintViolation, CorrespondenceMismatch
 from toothalign.seeding import derive_seed
 from toothalign.synthetic import SynthParams, generate_synthetic_case
 
@@ -61,8 +61,8 @@ def _tooth(tid, pts, radius=0.25, gt=None):
         {"augment": {"ordinary_prob": -0.1}},
         {"augment": {"max_collision_iters": 0}},
         # values of the wrong type
-        {"points_per_tooth": "a"},
-        {"points_per_tooth": 1.5},
+        {"seed": "a"},
+        {"seed": 1.5},
         {"seed": True},
         {"ordering": 3},
         {"augment": {"rot_range": "x"}},
@@ -409,6 +409,28 @@ def test_constrained_augment_report(corpus):
     ):
         assert np.array_equal(t_in.gt_points, t_out.gt_points)
     assert any(t.moved for t in out.upper.teeth)
+
+
+def test_constrained_augment_moves_only_the_case_it_returns(corpus):
+    case = corpus[4]
+    before = case.copy()
+    out, _ = constrained_augment_case_report(case, seed=5)
+    for t_before, t_in, t_out in zip(before.all_teeth(), case.all_teeth(), out.all_teeth()):
+        assert t_in.moved == t_before.moved
+        if t_in.present:
+            assert np.array_equal(t_in.points, t_before.points)
+            assert np.array_equal(t_in.gt_points, t_before.gt_points)
+            assert t_out.points is not t_out.gt_points and t_out.points is not t_in.points
+
+
+def test_constrained_augment_needs_every_target(corpus):
+    case = corpus[0].copy()
+    tooth = case.lower.present_teeth()[2]
+    tooth.gt_points = None
+    with pytest.raises(
+        CorrespondenceMismatch, match=rf"^tooth {tooth.id} has no gt_points; augmentation needs targets$"
+    ):
+        constrained_augment_case_report(case, 3)
 
 
 @pytest.mark.parametrize(

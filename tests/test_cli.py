@@ -422,7 +422,7 @@ def test_iterate_rejects_k_before_any_forward_pass(monkeypatch, capsys, caplog, 
 
 
 # the subcommands that read a case file, and those that read --config
-# (arch export and eval read no config)
+# (sample, arch export and eval read no config)
 CASE_READERS = {
     "sample": ["sample", "--in", "{case}", "-o", "{out}/sampled.json"],
     "serialize": ["serialize", "--in", "{case}", "-o", "{out}/image.json"],
@@ -434,7 +434,7 @@ CASE_READERS = {
     "iterate": ["iterate", "--in", "{case}", "--gt", "{case}", "-n", "1"],
 }
 CONFIG_READERS = {"gen": ["gen", "-o", "{out}"]} | {
-    name: argv for name, argv in CASE_READERS.items() if name not in ("arch export", "eval")
+    name: argv for name, argv in CASE_READERS.items() if name not in ("sample", "arch export", "eval")
 }
 
 
@@ -453,7 +453,7 @@ def _set(doc, path, value):
         ("case", ("upper", 0, "points", 0), [True, 1, 2]),
         ("case", ("lower", 1, "gt_points", 3), ["1.5", 1, 2]),
         ("case", ("lower", 1, "gt_points", 3, 2), None),
-        ("config", ("points_per_tooth",), "a"),
+        ("config", ("seed",), "a"),
         ("config", ("augment", "max_collision_iters"), 2.5),
         ("config", ("loss", "delta"), [1, 2, 3, "z"]),
         ("case", ("upper", 0), {"id": 1, "present": False, "points": 0, "gt_points": {}}),
@@ -580,7 +580,7 @@ def test_coordinates_past_the_bound_exit_1_with_one_log_line(capsys, caplog, tmp
 # the master-seed and config options each subcommand reads
 READS = {
     "gen": ("--seed", "--config"),
-    "sample": ("--config",),
+    "sample": (),
     "serialize": ("--seed", "--config"),
     "arch export": (),
     "augment": ("--seed", "--config"),

@@ -41,7 +41,6 @@ INVALID = [
     (AugmentConfig, {"max_collision_iters": 0}),
     (Config, {"seed": -3}),
     (Config, {"ordering": "zigzag"}),
-    (Config, {"points_per_tooth": 0}),
 ]
 
 

@@ -31,6 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    ComputationError,
     CorrespondenceMismatch,
     DuplicateTooth,
     SchemaViolation,
@@ -265,8 +266,12 @@ def case_to_dict(case: Case) -> dict:
 
 
 def dumps_json(doc) -> str:
-    """Deterministic JSON encoding used for every file this package writes."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    """Deterministic JSON encoding used for every file this package
+    writes. A NaN or an infinity has no JSON form: ComputationError."""
+    try:
+        return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ComputationError(f"cannot encode JSON: {exc}") from exc
 
 
 def load_case(path, expected_points: int | None = POINT_COUNT) -> Case:

@@ -322,14 +322,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     try:
-        payload = args.func(args)
+        text = dumps_json(args.func(args))
     except ValidationError as exc:
         log.error("%s: %s", type(exc).__name__, exc)
         return 1
     except ComputationError as exc:
         log.error("%s: %s", type(exc).__name__, exc)
         return 2
-    sys.stdout.write(dumps_json(payload))
+    sys.stdout.write(text)
     return 0
 
 

@@ -63,6 +63,8 @@ class LossWeights:
             raise ConfigError("loss weights must be nonnegative")
         if self.tau <= 0:
             raise ConfigError("tau must be positive")
+        if self.max_angle <= 0 or self.max_translation <= 0:
+            raise ConfigError("max_angle and max_translation must be positive")
 
 
 @dataclass(frozen=True)

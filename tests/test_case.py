@@ -16,6 +16,7 @@ from toothalign.case import (
     LOWER_IDS,
     MAX_COORD_MM,
     NORM_SCALE_MM,
+    ORDERING_MODES,
     POINT_COUNT,
     UPPER_IDS,
     Case,
@@ -37,6 +38,7 @@ from toothalign.case import (
 )
 from toothalign.errors import (
     ComputationError,
+    CorrespondenceMismatch,
     DuplicateTooth,
     SchemaViolation,
     TooFewTeeth,
@@ -93,6 +95,13 @@ def test_dumps_json_deterministic(case7):
     assert a.endswith("\n")
     # keys are sorted; whitespace-free separators
     assert '"id"' in a and ": " not in a.split("\n")[0]
+
+
+@pytest.mark.parametrize("value", [float("inf"), -float("inf"), float("nan")])
+def test_dumps_json_rejects_non_finite_numbers(value):
+    # json would write Infinity or NaN, which is not JSON
+    with pytest.raises(ComputationError, match=r"^cannot encode JSON: "):
+        dumps_json({"total": [1.0, value]})
 
 
 def test_save_rejects_bad_cases_and_writes_nothing(case7, tmp_path):
@@ -309,6 +318,9 @@ MUTATIONS = {
         lambda doc: doc.update(upper=[{"id": 3, "present": False}]),
         SchemaViolation,
     ),
+    "unknown tooth field": (_set(("upper", 0, "colour"), "white"), SchemaViolation),
+    "unknown case field": (_set(("notes",), "none"), SchemaViolation),
+    "non-object root": ([], SchemaViolation),  # the whole document
 }
 
 
@@ -327,8 +339,11 @@ def case_doc():
 @pytest.mark.parametrize("name", list(MUTATIONS))
 def test_schema_and_loader_agree(case_doc, name):
     mutate, error = MUTATIONS[name]
-    doc = copy.deepcopy(case_doc)
-    mutate(doc)
+    if callable(mutate):
+        doc = copy.deepcopy(case_doc)
+        mutate(doc)
+    else:
+        doc = mutate
     if error is None:
         case_from_dict(doc, _PARITY_POINTS)
     else:
@@ -336,6 +351,17 @@ def test_schema_and_loader_agree(case_doc, name):
             case_from_dict(doc, _PARITY_POINTS)
     schema_accepts = jsonschema.Draft202012Validator(CASE_SCHEMA).is_valid(doc)
     assert schema_accepts == (error is None or name in CODE_ONLY)
+
+
+def test_gt_points_must_hold_as_many_points_as_points():
+    # the loader-only rule named above CODE_ONLY: without an expected
+    # point count, only this check pairs the two clouds
+    doc = copy.deepcopy(_TINY_DOC)
+    doc["lower"][1]["gt_points"] = doc["lower"][1]["gt_points"][:3]
+    with pytest.raises(
+        CorrespondenceMismatch, match=r"^lower\[1\]: gt_points and points must correspond index-wise$"
+    ):
+        case_from_dict(doc, expected_points=None)
 
 
 # ---------------------------------------------------------- point orderings
@@ -376,6 +402,34 @@ def test_tooth_point_image_rows(case7):
         else:
             assert not tpi.presence[row]
             assert not tpi.data[row].any()
+
+
+def _sorted_rows(points):
+    return points[np.lexsort(points.T[::-1])]
+
+
+@pytest.mark.parametrize("ordering", ORDERING_MODES)
+def test_every_ordering_permutes_each_present_tooth(case7, ordering):
+    tpi = build_tooth_point_image(case7, ordering, seed=4)
+    present = {t.id: t for t in case7.present_teeth()}
+    assert 0 < len(present) < 32
+    for row in range(32):
+        tooth = present.get(row + 1)
+        assert tpi.presence[row] == (tooth is not None)
+        if tooth is None:
+            assert not tpi.data[row].any()
+        else:
+            assert np.array_equal(_sorted_rows(tpi.data[row]), _sorted_rows(tooth.points))
+    again = build_tooth_point_image(case7, ordering, seed=4)
+    assert np.array_equal(again.data, tpi.data) and np.array_equal(again.presence, tpi.presence)
+    if ordering == "random":
+        return
+    # the seedless orderings ignore the order a tooth's points are stored in
+    shuffled = case7.copy()
+    rng = np.random.default_rng(11)
+    for tooth in shuffled.present_teeth():
+        tooth.points = tooth.points[rng.permutation(tooth.points.shape[0])]
+    assert np.array_equal(build_tooth_point_image(shuffled, ordering).data, tpi.data)
 
 
 def test_tooth_point_image_single_tooth():

@@ -156,6 +156,14 @@ def test_serialize_ordering_flag(capsys, case_file):
     assert a["data"] != b["data"]
 
 
+@pytest.mark.parametrize("ordering", ["center_distance", "random"])
+def test_serialize_orderings_match_the_schema(ordering, capsys, case_file):
+    payload = _run_json(
+        capsys, ["serialize", "--in", str(case_file), "--ordering", ordering], "tooth_point_image"
+    )
+    assert payload["ordering"] == ordering
+
+
 # ------------------------------------------------------------------- arch
 
 def test_arch_export_payload(capsys, case_file):
@@ -330,6 +338,34 @@ def test_config_unknown_key_exits_1(capsys, case_file, tmp_path):
     cfg.write_text(dumps_json({"seeed": 5}))
     code, _ = _run(capsys, ["serialize", "--config", str(cfg), "--in", str(case_file)])
     assert code == 1
+
+
+@pytest.mark.parametrize("key", ["max_angle", "max_translation"])
+def test_zero_enhancement_normalizer_exits_1_with_one_log_line(key, capsys, caplog, case_file, tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(dumps_json({"loss": {key: 0}}))
+    code, out = _run(capsys, ["loss", "--config", str(cfg), "--pred", str(case_file), "--gt", str(case_file)])
+    assert code == 1
+    assert out == ""
+    records = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert [r.getMessage() for r in records] == ["ConfigError: max_angle and max_translation must be positive"]
+
+
+def test_non_finite_payload_exits_2_with_one_log_line(capsys, caplog, case_dir, tmp_path):
+    # every term is finite, but 1e308 times them overflows the total
+    cfg = tmp_path / "config.json"
+    cfg.write_text(dumps_json({"loss": {"delta": [1e308] * 4}}))
+    pred = tmp_path / "pred.case.json"
+    assert main(["augment", "--in", str(case_dir / "synth0-000.case.json"), "-o", str(pred)]) == 0
+    capsys.readouterr()
+    caplog.clear()
+    gt = str(case_dir / "synth0-000.case.json")
+    code, out = _run(capsys, ["loss", "--config", str(cfg), "--pred", str(pred), "--gt", gt])
+    assert code == 2
+    assert out == ""
+    records = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert len(records) == 1
+    assert records[0].getMessage().startswith("ComputationError: cannot encode JSON: ")
 
 
 def test_cli_flag_overrides_config_seed(capsys, case_file, tmp_path):

@@ -41,6 +41,8 @@ INVALID = [
     (AugmentConfig, {"max_collision_iters": 0}),
     (Config, {"seed": -3}),
     (Config, {"ordering": "zigzag"}),
+    (LossWeights, {"max_angle": 0.0}),
+    (LossWeights, {"max_translation": 0.0}),
 ]
 
 

@@ -116,6 +116,15 @@ def test_add_error_names_the_unpaired_teeth(small_corpus):
         add_error(pred, gt)
 
 
+def test_add_error_names_a_tooth_with_other_point_counts(small_corpus):
+    gt = gt_view(small_corpus[1])
+    pred = gt_view(small_corpus[1])
+    tooth = pred.lower.teeth[3]
+    tooth.points = tooth.points[:100]
+    with pytest.raises(CorrespondenceMismatch, match=rf"^tooth {tooth.id}: point counts differ$"):
+        add_error(pred, gt)
+
+
 # -------------------------------------------------------------- transforms
 
 def test_me_rotate_frozen_geodesics():

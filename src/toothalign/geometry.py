@@ -143,11 +143,16 @@ def quat_from_matrix(rot) -> np.ndarray:
 
 
 def rotation_angle_between(qa, qb) -> float:
-    """Geodesic angle in radians between two rotations; sign-insensitive."""
+    """Geodesic angle in radians between two rotations; sign-insensitive.
+
+    With qb signed so that qa . qb >= 0, |qa - qb| and |qa + qb| are
+    2 sin and 2 cos of a quarter of the angle, so atan2 keeps the small
+    angles that 2 acos(|qa . qb|) loses (it reads 1e-8 rad as 0)."""
     qa = quat_normalize(qa)
     qb = quat_normalize(qb)
-    d = abs(float(np.dot(qa, qb)))
-    return 2.0 * float(np.arccos(min(1.0, d)))
+    if float(np.dot(qa, qb)) < 0.0:
+        qb = -qb
+    return 4.0 * float(np.arctan2(np.linalg.norm(qa - qb), np.linalg.norm(qa + qb)))
 
 
 # ---------------------------------------------------------------- transforms

@@ -98,6 +98,14 @@ def test_rotation_angle_between_double_cover():
     assert rotation_angle_between(q, -np.asarray(q)) < 1e-9
 
 
+@pytest.mark.parametrize("angle", [1e-6, 1e-7, 1e-8, 1e-10])
+def test_rotation_angle_between_keeps_small_angles(angle):
+    # 2 acos(|qa . qb|) read 1e-7 as 9.88e-8 and 1e-8 as 0.0
+    q = quat_from_axis_angle([0.3, -1.0, 0.2], angle)
+    for a, b in ((quat_identity(), q), (q, quat_identity()), (-np.asarray(q), quat_identity())):
+        assert rotation_angle_between(a, b) == pytest.approx(angle, rel=1e-9)
+
+
 # -------------------------------------------------------- rigid transforms
 
 def _same_transform(a, b):

@@ -21,7 +21,12 @@ from toothalign.augment import (
 from toothalign.bvh import AabbTree, cloud_gap
 from toothalign.case import Jaw, Tooth
 from toothalign.config import config_from_dict
-from toothalign.errors import CollisionUnresolved, ConfigError, ConstraintViolation, CorrespondenceMismatch
+from toothalign.errors import (
+    CollisionUnresolved,
+    ConfigError,
+    ConstraintViolation,
+    CorrespondenceMismatch,
+)
 from toothalign.seeding import derive_seed
 from toothalign.synthetic import SynthParams, generate_synthetic_case
 

@@ -25,9 +25,13 @@ so this equals pulling and closing tooth by tooth.
 Both passes work in place and move points only; the ``moved`` flags
 are the caller's. The joint loop of one case runs them with one
 ``clouds`` store, which remembers a tooth's tree (its bounding box and
-coordinate columns, see bvh.AabbTree), and the gap between
-two adjacent teeth, for as long as neither tooth has moved (see
-_Clouds).
+coordinate columns, see bvh.AabbTree), and the gap and the interlock
+answer of a pair, for as long as both teeth keep the points arrays they
+were measured on (see _Clouds). Each regularization pass measures every
+gap it lacks in one stacked query after its pulls, so a gap is measured
+again only after a slide; a pair whose remembered gap clears the proxy
+radii needs no interlock test (bvh.gap_clears); the report's rotations
+come from one stacked registration per jaw (metrics.recover_teeth).
 """
 
 from __future__ import annotations
@@ -37,12 +41,12 @@ from dataclasses import replace
 import numpy as np
 
 from .arch import ArchLine, fit_arch_line
-from .bvh import AabbTree, boxes_apart, cloud_gap, interlock_masks
+from .bvh import AabbTree, boxes_apart_many, gap_clears, interlock_masks, tree_gaps
 from .case import Case, Jaw, Tooth, midline, midline_offset
 from .config import AugmentConfig
 from .errors import CollisionUnresolved, ConstraintViolation, CorrespondenceMismatch
 from .geometry import RigidTransform, random_rigid
-from .metrics import recover_tooth
+from .metrics import recover_teeth
 from .seeding import derive_seed
 
 _REGULARIZE_PASSES = 8
@@ -66,15 +70,17 @@ def perturb_tooth(tooth: Tooth, seed: int, config: AugmentConfig) -> RigidTransf
 
 class _Clouds:
     """What one case's proximity queries have already answered: per
-    tooth id the tree over its points, and per pair of ids (lower first)
-    the gap with the two points arrays it was measured on. An entry
-    counts only while the teeth are still bound to those very arrays.
-    Every move rebinds ``points`` (see _translate) and nothing writes
-    them in place, so a moved tooth always misses."""
+    tooth id the tree over its points, and per pair of ids the gap and
+    the interlock answer (a separation step, or None for no interlock),
+    each with the two points arrays it was measured on. An entry counts
+    only while the teeth are still bound to those very arrays. Every
+    move rebinds ``points`` (see _translate) and nothing writes them in
+    place, so a moved tooth always misses."""
 
     def __init__(self):
         self.trees: dict[int, AabbTree] = {}
         self.gaps: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, float]] = {}
+        self.steps: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, float | None]] = {}
 
 
 def _tree_of(tooth: Tooth, clouds: _Clouds) -> AabbTree:
@@ -85,52 +91,77 @@ def _tree_of(tooth: Tooth, clouds: _Clouds) -> AabbTree:
     return tree
 
 
-def _gap(tooth: Tooth, other: Tooth, clouds: _Clouds) -> float:
-    """cloud_gap between the two teeth's current points, remembered or
-    measured (on other's tree). cloud_gap is symmetric bit for bit, so
-    one entry serves both orders."""
-    lo, hi = (tooth, other) if tooth.id < other.id else (other, tooth)
-    seen = clouds.gaps.get((lo.id, hi.id))
-    if seen is not None and seen[0] is lo.points and seen[1] is hi.points:
-        return seen[2]
-    gap = cloud_gap(tooth.points, _tree_of(other, clouds))
-    clouds.gaps[(lo.id, hi.id)] = (lo.points, hi.points, gap)
-    return gap
+def _recall(store: dict, a: Tooth, b: Tooth):
+    """The entry of store for teeth a and b (lower id first) while both
+    still hold the points it was measured on, else None."""
+    lo, hi = (a, b) if a.id < b.id else (b, a)
+    seen = store.get((lo.id, hi.id))
+    return seen if seen is not None and seen[0] is lo.points and seen[1] is hi.points else None
 
 
-def _separation_step(a: AabbTree, b: AabbTree, radius: float) -> float | None:
+def _remember(store: dict, a: Tooth, b: Tooth, answer) -> None:
+    lo, hi = (a, b) if a.id < b.id else (b, a)
+    store[(lo.id, hi.id)] = (lo.points, hi.points, answer)
+
+
+def _gaps(pairs: list[tuple[Tooth, Tooth]], clouds: _Clouds) -> list[float]:
+    """cloud_gap between each pair's current points, remembered or
+    measured: the pairs not remembered are measured in one tree_gaps
+    call (the first tooth's rows against the second's tree) when their
+    clouds share one shape, else in one call each. The gap is exact, so
+    symmetric bit for bit: one entry serves both orders."""
+    todo = [(a, b) for a, b in pairs if _recall(clouds.gaps, a, b) is None]
+    one_shape = len({(a.points.shape, b.points.shape) for a, b in todo}) == 1
+    for group in [todo] if one_shape else [[pair] for pair in todo]:
+        got = tree_gaps([a.points for a, _ in group], [_tree_of(b, clouds) for _, b in group])
+        for (a, b), gap in zip(group, got.tolist()):
+            _remember(clouds.gaps, a, b, gap)
+    return [_recall(clouds.gaps, a, b)[2] for a, b in pairs]
+
+
+def _separation_step(a: Tooth, b: Tooth, radius: float, clouds: _Clouds) -> float | None:
     """None when no point lies strictly inside the other cloud's proxy
     volume; otherwise a positive slide distance that clears the
-    overlap: proxy penetration depth plus a hair of margin.
+    overlap: proxy penetration depth plus a hair of margin. Remembered
+    while both teeth hold their points.
 
     Deliberately not the interlock extent (the farthest interlocking
     pair); extent-sized slides over-separate banded contacts by
     millimetres and fight the gap constraint."""
-    mask_a, _, d_min = interlock_masks(a, b, radius)
-    if not mask_a.any():
-        return None
-    return radius - d_min + 1e-3
+    seen = _recall(clouds.steps, a, b)
+    if seen is not None:
+        return seen[2]
+    gap = _recall(clouds.gaps, a, b)
+    if gap is not None and gap_clears(gap[2], radius):
+        step = None
+    else:
+        mask_a, _, d_min = interlock_masks(_tree_of(a, clouds), _tree_of(b, clouds), radius)
+        step = radius - d_min + 1e-3 if mask_a.any() else None
+    _remember(clouds.steps, a, b, step)
+    return step
 
 
 def detect_collisions(jaw: Jaw, clouds: _Clouds | None = None) -> list[tuple[int, int, float]]:
     """All interlocking present-tooth pairs ``(id_a, id_b, step)``, in
     ascending id order; each step is a positive slide that clears the
     overlap. A pair whose grown bounding boxes are apart cannot
-    interlock and is not tested. ``clouds`` holds trees that the call
-    reuses and adds to (see _Clouds); it never changes the result."""
+    interlock and is not tested; one stacked box test covers every
+    pair. ``clouds`` holds trees and answers that the call reuses and
+    adds to (see _Clouds); it never changes the result."""
     teeth = jaw.present_teeth()
     clouds = _Clouds() if clouds is None else clouds
+    trees = [_tree_of(t, clouds) for t in teeth]
+    mins = np.array([t.mins for t in trees], ndmin=2)
+    maxes = np.array([t.maxes for t in trees], ndmin=2)
+    radii = np.array([t.proxy_radius for t in teeth])
+    i, j = np.triu_indices(len(teeth), 1)
+    radius = radii[i] + radii[j]
+    near = ~boxes_apart_many(mins[i], maxes[i], mins[j], maxes[j], radius)
     pairs = []
-    for i, a in enumerate(teeth):
-        tree_a = _tree_of(a, clouds)
-        for b in teeth[i + 1 :]:
-            tree_b = _tree_of(b, clouds)
-            radius = a.proxy_radius + b.proxy_radius
-            if boxes_apart(tree_a, tree_b, radius):
-                continue
-            step = _separation_step(tree_a, tree_b, radius)
-            if step is not None:
-                pairs.append((a.id, b.id, step))
+    for a, b, radius in zip(i[near].tolist(), j[near].tolist(), radius[near].tolist()):
+        step = _separation_step(teeth[a], teeth[b], radius, clouds)
+        if step is not None:
+            pairs.append((teeth[a].id, teeth[b].id, step))
     return pairs
 
 
@@ -138,11 +169,13 @@ def detect_collisions(jaw: Jaw, clouds: _Clouds | None = None) -> list[tuple[int
 
 def adjacent_gaps(jaw: Jaw, clouds: _Clouds | None = None) -> list[tuple[int, int, float]]:
     """Nearest point-pair distance between adjacent present teeth;
-    adjacency means consecutive present ids (absences skipped).
-    ``clouds`` holds trees and gaps, as in detect_collisions."""
+    adjacency means consecutive present ids (absences skipped). The
+    gaps not held by ``clouds`` are measured in one stacked query and
+    stored there (see _gaps)."""
     teeth = jaw.present_teeth()
     clouds = _Clouds() if clouds is None else clouds
-    return [(a.id, b.id, _gap(a, b, clouds)) for a, b in zip(teeth, teeth[1:])]
+    pairs = list(zip(teeth, teeth[1:]))
+    return [(a.id, b.id, gap) for (a, b), gap in zip(pairs, _gaps(pairs, clouds))]
 
 
 def _center_out(teeth: list[Tooth]) -> list[Tooth]:
@@ -201,7 +234,7 @@ def _close_gap(tooth: Tooth, mesial: Tooth, arch: ArchLine, threshold: float, cl
     the mesial neighbor is at most threshold. Returns total slide."""
     total = 0.0
     for _ in range(_PULL_STEPS):
-        gap = _gap(tooth, mesial, clouds)
+        gap = _gaps([(tooth, mesial)], clouds)[0]
         if gap <= threshold:
             break
         total += _slide(tooth, arch, -(gap - (threshold - _SLACK)))
@@ -221,6 +254,7 @@ def jaw_regularize(jaw: Jaw, arch: ArchLine, config: AugmentConfig, clouds: _Clo
     order = _center_out(jaw.present_teeth())
     for _ in range(_REGULARIZE_PASSES):
         pulled = _pull_to_arch(order, arch, lo, hi)
+        adjacent_gaps(jaw, clouds)  # every gap of the pass in one query; a slide re-measures its own
         shifted = 0.0
         for k, tooth in enumerate(order):
             shifted += pulled[k]
@@ -295,11 +329,11 @@ def _jaw_entry(
     """Report entry of one jaw from its _measure result: satisfied when
     nothing broke, no pair collides and no recovered rotation exceeds
     rot_range."""
-    teeth = jaw.present_teeth()
-    recovered = [recover_tooth(t.id, t.gt_points, t.points) for t in teeth if t.gt_points is not None]
-    max_angle = max((np.rad2deg(r.angle()) for r in recovered), default=0.0)
+    posed = [t for t in jaw.present_teeth() if t.gt_points is not None]
+    recovered = recover_teeth([t.id for t in posed], [t.gt_points for t in posed], [t.points for t in posed])
+    max_angle = max((np.rad2deg(r.angle()) for r in recovered.values()), default=0.0)
     return {
-        "teeth": len(teeth),
+        "teeth": len(jaw.present_teeth()),
         "collisions": collisions,
         "max_gap_mm": max_gap,
         "max_arch_dist_mm": max_dist,
@@ -335,6 +369,15 @@ def check_constraints(case: Case, config: AugmentConfig) -> dict:
     return _report(case.id, jaws)
 
 
+def _copy_but_points(case: Case) -> Case:
+    """A copy of case whose present teeth have no points yet, for the
+    caller to bind: copying clouds about to be replaced is wasted."""
+    def teeth(side):
+        return [replace(t, points=None).copy() if t.present else t.copy() for t in case.jaw(side).teeth]
+
+    return replace(case, upper=Jaw("upper", teeth("upper")), lower=Jaw("lower", teeth("lower")))
+
+
 def constrained_augment_case_report(
     gt_case: Case, seed: int, config: AugmentConfig | None = None
 ) -> tuple[Case, dict]:
@@ -349,7 +392,7 @@ def constrained_augment_case_report(
     which check_constraints would repeat on the same arch and geometry.
     """
     config = config or AugmentConfig()
-    out = gt_case.copy()
+    out = _copy_but_points(gt_case)
     jaws: dict[str, dict] = {}
     iterations: dict[str, int] = {}
     clouds = _Clouds()
@@ -390,14 +433,13 @@ def ordinary_augment(case: Case, seed: int, config: AugmentConfig | None = None)
     current (pre-treatment) geometry of every present tooth is
     displaced; targets are never touched."""
     config = config or AugmentConfig()
-    out = case.copy()
-    rng = np.random.default_rng(derive_seed(seed, "ordinary-trigger", out.id))
+    rng = np.random.default_rng(derive_seed(seed, "ordinary-trigger", case.id))
     if rng.random() >= config.ordinary_prob:
-        return out
-    for tooth in sorted(out.present_teeth(), key=lambda t: t.id):
-        t = perturb_tooth(tooth, derive_seed(seed, "ordinary", out.id, tooth.id), config)
-        if t.is_identity():
-            continue
-        tooth.points = t.apply(tooth.points)
-        tooth.moved = True
+        return case.copy()
+    out = _copy_but_points(case)
+    for tooth, source in zip(out.all_teeth(), case.all_teeth()):
+        if tooth.present:
+            t = perturb_tooth(source, derive_seed(seed, "ordinary", case.id, tooth.id), config)
+            tooth.points = t.apply(source.points)  # a copy when t is the identity
+            tooth.moved = tooth.moved or not t.is_identity()
     return out

@@ -10,8 +10,9 @@ has a squared distance of at least r * r. Membership is decided by the
 strict ``d2 < r * r`` test, ``d2`` summing the squared axis differences
 in the order ``((a - b) ** 2).sum(-1)`` does. The gap between two clouds
 is a bounded nearest-neighbour search (Friedman, Bentley & Finkel 1977),
-written once: ``cloud_gaps`` runs it on a stack of cloud pairs, and
-``cloud_gap`` is its one-pair call.
+written once: ``cloud_gaps`` runs it on a stack of cloud pairs (given
+as points and trees to ``tree_gaps``), and ``cloud_gap`` is its one-pair
+call, as ``boxes_apart`` is of the box test ``boxes_apart_many``.
 """
 
 from __future__ import annotations
@@ -101,6 +102,14 @@ def interlock_masks(a, b, radius: float) -> tuple[np.ndarray, np.ndarray, float]
     return mask_a, mask_b, best
 
 
+def gap_clears(gap: float, radius: float) -> bool:
+    """True when the gap between two clouds (a cloud_gap answer) shows
+    that interlock_masks at radius flags nothing. Both square their
+    pairs in the same arithmetic; an interlock has a pair with
+    d2 < r * r, whose rounded root is below r * _INFLATE."""
+    return gap > radius * _INFLATE
+
+
 def nearest_distances(points, tree) -> np.ndarray:
     """Distance from each row of points to its nearest point of tree,
     in the same arithmetic as interlock_masks."""
@@ -150,16 +159,26 @@ def cloud_gaps(pc, cols, mins, maxes, centroid) -> np.ndarray:
     return np.sqrt(best)
 
 
+def tree_gaps(points, trees) -> np.ndarray:
+    """cloud_gap of each pair ``points[k]``, ``trees[k]``, in one
+    cloud_gaps call; every pair has the shapes of the first."""
+    tree = [np.stack([getattr(t, f) for t in trees], axis=1) for f in ("cols", "mins", "maxes", "centroid")]
+    return cloud_gaps(np.stack([np.asarray(p, dtype=float).T for p in points], axis=1), *tree)
+
+
 def cloud_gap(points, tree) -> float:
     """Smallest distance from any row of points to tree's cloud: exactly
-    ``nearest_distances(points, tree).min()``; the one-pair cloud_gaps."""
-    pc = np.asarray(points, dtype=float).T[:, None].copy()
-    one = (tree.cols[:, None], tree.mins[:, None], tree.maxes[:, None], tree.centroid[:, None])
-    return float(cloud_gaps(pc, *one)[0])
+    ``nearest_distances(points, tree).min()``; the one-pair tree_gaps."""
+    return float(tree_gaps([points], [tree])[0])
+
+
+def boxes_apart_many(mins_a, maxes_a, mins_b, maxes_b, radius) -> np.ndarray:
+    """Per pair k, True when boxes a and b (rows k), grown by radius[k]
+    (inflated, as above), are apart on some axis: then no pair of their
+    points lies within radius, and interlock_masks would flag nothing."""
+    return (np.maximum(mins_a - maxes_b, mins_b - maxes_a) > radius[:, None] * _INFLATE).any(axis=1)
 
 
 def boxes_apart(a, b, radius: float) -> bool:
-    """True when the bounding boxes of trees a and b, grown by radius
-    (inflated, as above), are apart on some axis: then no pair of their
-    points lies within radius, and interlock_masks would flag nothing."""
-    return bool((np.maximum(a.mins - b.maxes, b.mins - a.maxes) > radius * _INFLATE).any())
+    """boxes_apart_many of the boxes of trees a and b: the one-pair call."""
+    return bool(boxes_apart_many(a.mins[None], a.maxes[None], b.mins[None], b.maxes[None], np.array([radius]))[0])

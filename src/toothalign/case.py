@@ -75,9 +75,16 @@ class Tooth:
     points: np.ndarray | None = None
     gt_points: np.ndarray | None = None
     proxy_radius: float = 0.25
+    _centroid: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def centroid(self) -> np.ndarray:
-        return centroid(self.points)
+        """Mean of points, read-only, remembered while points is the same
+        array: nothing in the package writes points in place."""
+        if self._centroid is None or self._centroid[0] is not self.points:
+            c = centroid(self.points)
+            c.flags.writeable = False
+            self._centroid = (self.points, c)
+        return self._centroid[1]
 
     def gt_centroid(self) -> np.ndarray:
         return centroid(self.gt_points)
@@ -193,7 +200,7 @@ def _tooth_from_dict(raw: dict, side: str, index: int, expected: int | None) -> 
     tid = raw["id"]
     valid = UPPER_IDS if side == "upper" else LOWER_IDS
     if tid not in valid:
-        raise SchemaViolation(f"id {tid} outside the {side} range {valid}", path)
+        raise SchemaViolation(f"id {tid} outside the {side} range {valid.start}..{valid.stop - 1}", path)
     present = raw.get("present", True)
     moved = raw.get("moved", True)
     if not isinstance(present, bool) or not isinstance(moved, bool):
@@ -265,13 +272,26 @@ def case_to_dict(case: Case) -> dict:
     return out
 
 
+def _non_finite(doc, path: str = "") -> str | None:
+    """``path is value`` of the first NaN or infinity in doc, keys in
+    sorted order; None when there is none."""
+    if isinstance(doc, float):
+        return None if np.isfinite(doc) else f"{path} is {doc}"
+    if isinstance(doc, dict):
+        items = [(f"{path}.{k}" if path else str(k), v) for k, v in sorted(doc.items())]
+    else:
+        items = [(f"{path}[{k}]", v) for k, v in enumerate(doc)] if isinstance(doc, (list, tuple)) else []
+    return next((found for p, v in items if (found := _non_finite(v, p))), None)
+
+
 def dumps_json(doc) -> str:
     """Deterministic JSON encoding used for every file this package
-    writes. A NaN or an infinity has no JSON form: ComputationError."""
+    writes. A NaN or an infinity has no JSON form: ComputationError,
+    naming the first one's path."""
     try:
         return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
     except ValueError as exc:
-        raise ComputationError(f"cannot encode JSON: {exc}") from exc
+        raise ComputationError(f"cannot encode JSON: {_non_finite(doc) or exc}") from exc
 
 
 def load_case(path, expected_points: int | None = POINT_COUNT) -> Case:

@@ -60,7 +60,12 @@ class InsufficientPoints(ComputationError):
 
 
 class DegenerateCloud(ComputationError):
-    """The cloud has no well-defined rigid registration (collinear or tiny)."""
+    """The cloud has no well-defined rigid registration (collinear or tiny);
+    ``row`` is the first such row of a stacked registration."""
+
+    def __init__(self, message: str, row: int = 0):
+        super().__init__(message)
+        self.row = row
 
 
 class DegenerateAxis(ComputationError):

@@ -222,35 +222,48 @@ def random_rigid(rng, max_angle: float, trans_mu: float, trans_sigma: float, piv
 
 # -------------------------------------------------------- rigid registration
 
-def kabsch_recover(src, dst) -> RigidTransform:
-    """Least-squares rigid transform mapping ``src`` onto ``dst``.
+def kabsch_recover_many(src, dst) -> list[RigidTransform]:
+    """Least-squares rigid transform mapping each ``src[k]`` onto
+    ``dst[k]``, over two (k, n, 3) stacks.
 
-    Points correspond index-wise. The pivot of the recovered transform is
-    the source centroid, so for exact rigid pairs the residual is zero to
-    machine precision. Raises DegenerateCloud for fewer than three points
-    or for (near-)collinear clouds, where the rotation is not unique.
+    Points correspond index-wise. Each pivot is the source centroid, so
+    for exact rigid pairs the residual is zero to machine precision. One
+    stacked mean, product and SVD serve every row, with the arithmetic
+    of a one-row stack. Equal clouds give the exact identity. Raises
+    DegenerateCloud, ``row`` the first such row, for fewer than three
+    points or (near-)collinear clouds, where the rotation is not unique.
     """
-    src = _as_points(src)
-    dst = _as_points(dst)
+    src = np.asarray(src, dtype=float)
+    dst = np.asarray(dst, dtype=float)
+    if src.ndim != 3 or src.shape[2] != 3:
+        raise ValueError(f"expected a (k, n, 3) stack, got shape {src.shape}")
     if src.shape != dst.shape:
         raise ValueError(f"shape mismatch: {src.shape} vs {dst.shape}")
-    if src.shape[0] < 3:
+    if src.shape[1] < 3:
         raise DegenerateCloud("rigid registration needs at least 3 points")
-    cs = src.mean(axis=0)
-    if np.array_equal(src, dst):
-        # identical clouds: hand back an exact identity instead of the
-        # near-identity the SVD would produce
-        return RigidTransform.identity(cs)
-    cd = dst.mean(axis=0)
-    h = (src - cs).T @ (dst - cd)
-    u, s, vt = np.linalg.svd(h)
+    cs = src.mean(axis=1)
+    cd = dst.mean(axis=1)
+    same = (src == dst).all(axis=(1, 2))
+    u, s, vt = np.linalg.svd((src - cs[:, None]).transpose(0, 2, 1) @ (dst - cd[:, None]))
     # Collinear clouds leave rotation about the line unconstrained.
-    scale = float(np.abs(src - cs).max()) * float(np.abs(dst - cd).max())
-    if s[1] <= 1e-12 * max(scale, 1e-300):
-        raise DegenerateCloud("cloud is collinear or has no spatial extent")
-    d = np.sign(np.linalg.det(vt.T @ u.T))
-    rot = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
-    return RigidTransform(quat_from_matrix(rot), cd - cs, cs)
+    scale = np.abs(src - cs[:, None]).max(axis=(1, 2)) * np.abs(dst - cd[:, None]).max(axis=(1, 2))
+    flat = ~same & (s[:, 1] <= 1e-12 * np.maximum(scale, 1e-300))
+    if flat.any():
+        raise DegenerateCloud("cloud is collinear or has no spatial extent", row=int(flat.argmax()))
+    v, ut = vt.transpose(0, 2, 1), u.transpose(0, 2, 1)
+    flip = np.zeros((len(s), 3, 3))
+    flip[:, [0, 1, 2], [0, 1, 2]] = 1.0
+    flip[:, 2, 2] = np.sign(np.linalg.det(v @ ut))
+    rot = v @ flip @ ut
+    return [
+        RigidTransform.identity(c) if eq else RigidTransform(quat_from_matrix(r), b - c, c)
+        for eq, r, c, b in zip(same.tolist(), rot, cs, cd)
+    ]
+
+
+def kabsch_recover(src, dst) -> RigidTransform:
+    """kabsch_recover_many of one (n, 3) cloud pair: the one-row call."""
+    return kabsch_recover_many(_as_points(src)[None], _as_points(dst)[None])[0]
 
 
 # ------------------------------------------------- farthest point sampling

@@ -14,7 +14,7 @@ import numpy as np
 
 from .case import Case, Tooth
 from .errors import CorrespondenceMismatch, DegenerateCloud, InvalidArgument
-from .geometry import RigidTransform, kabsch_recover, rotation_angle_between
+from .geometry import RigidTransform, kabsch_recover_many, rotation_angle_between
 
 CURVE_SAMPLES = 257
 K_MM = 5.0  # default CDF integration bound, mm
@@ -133,19 +133,26 @@ def paired_moved(pred: Case, gt: Case) -> list[tuple[Tooth, Tooth]]:
     return _paired("moved-tooth", moved_teeth(pred), moved_teeth(gt))
 
 
-def recover_tooth(tooth_id: int, src, dst) -> RigidTransform:
-    """kabsch_recover(src, dst) for one tooth; a degenerate cloud names
-    the tooth."""
-    try:
-        return kabsch_recover(src, dst)
-    except DegenerateCloud as exc:
-        raise DegenerateCloud(f"tooth {tooth_id}: {exc}") from exc
+def recover_teeth(ids: list[int], src: list, dst: list) -> dict[int, RigidTransform]:
+    """kabsch_recover(src[k], dst[k]) of each tooth ids[k], by id: one
+    stacked kabsch_recover_many when every cloud has one shape, else one
+    row per tooth. A degenerate cloud names the first such tooth."""
+    one_shape = len({np.shape(c) for c in (*src, *dst)}) == 1
+    rows = [slice(None)] if one_shape else [slice(k, k + 1) for k in range(len(ids))]
+    out = []
+    for r in rows:
+        try:
+            out += kabsch_recover_many(np.stack(src[r]), np.stack(dst[r]))
+        except DegenerateCloud as exc:
+            raise DegenerateCloud(f"tooth {ids[r][exc.row]}: {exc}") from exc
+    return dict(zip(ids, out))
 
 
 def residual_transforms(pred_case: Case, gt_case: Case) -> dict[int, RigidTransform]:
     """Least-squares rigid residual per present moved tooth: what still
     separates each predicted cloud from its target."""
-    return {a.id: recover_tooth(a.id, a.points, b.points) for a, b in paired_moved(pred_case, gt_case)}
+    pairs = paired_moved(pred_case, gt_case)
+    return recover_teeth([a.id for a, _ in pairs], [a.points for a, _ in pairs], [b.points for _, b in pairs])
 
 
 def case_metrics(pred_case: Case, gt_case: Case, k: float = K_MM) -> dict:

@@ -10,7 +10,9 @@ one-tooth, one-point pull loop that augmentation batches; it calls the
 package's arch projection one centroid at a time. The two perturbation
 samplers are the draws that ``geometry.random_rigid`` replaced; they
 build their transform with the package's quaternion and transform
-types. The network
+types. ``kabsch_one`` is the one-cloud registration that
+``geometry.kabsch_recover_many`` stacks; it builds the package's
+transform type from the package's matrix-to-quaternion. The network
 oracles reuse the package's window layout, masks and GELU, and keep the
 plain two-pass norm and full-grid masked path that the package's norm,
 attention and block must reproduce bit for bit.
@@ -22,8 +24,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from toothalign.config import LossWeights
-from toothalign.errors import CorrespondenceMismatch
-from toothalign.geometry import RigidTransform, quat_from_axis_angle
+from toothalign.errors import CorrespondenceMismatch, DegenerateCloud
+from toothalign.geometry import RigidTransform, quat_from_axis_angle, quat_from_matrix
 from toothalign.losses import _recon_tooth
 from toothalign.metrics import moved_teeth
 from toothalign.swin import (
@@ -43,6 +45,25 @@ def same_bits(got, want) -> bool:
     return got.shape == want.shape and np.array_equal(
         np.ascontiguousarray(got).view(np.int64), np.ascontiguousarray(want).view(np.int64)
     )
+
+
+def kabsch_one(src, dst) -> RigidTransform:
+    """Least-squares rigid transform of one (n, 3) cloud pair, one SVD:
+    the identity for equal clouds, DegenerateCloud for fewer than three
+    points or (near-)collinear clouds."""
+    src, dst = np.asarray(src, dtype=float), np.asarray(dst, dtype=float)
+    if src.shape[0] < 3:
+        raise DegenerateCloud("rigid registration needs at least 3 points")
+    cs = src.mean(axis=0)
+    if np.array_equal(src, dst):
+        return RigidTransform.identity(cs)
+    cd = dst.mean(axis=0)
+    u, s, vt = np.linalg.svd((src - cs).T @ (dst - cd))
+    scale = float(np.abs(src - cs).max()) * float(np.abs(dst - cd).max())
+    if s[1] <= 1e-12 * max(scale, 1e-300):
+        raise DegenerateCloud("cloud is collinear or has no spatial extent")
+    d = np.sign(np.linalg.det(vt.T @ u.T))
+    return RigidTransform(quat_from_matrix(vt.T @ np.diag([1.0, 1.0, d]) @ u.T), cd - cs, cs)
 
 
 def brute_fps(points, n, start):

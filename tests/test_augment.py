@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toothalign import augment
+from toothalign import augment, bvh, geometry
 from toothalign.arch import fit_arch_line
 from toothalign.augment import (
     AugmentConfig,
@@ -18,7 +18,7 @@ from toothalign.augment import (
     perturb_tooth,
     resolve_collisions_verbose,
 )
-from toothalign.bvh import AabbTree, cloud_gap
+from toothalign.bvh import AabbTree, cloud_gap, interlock_masks, tree_gaps
 from toothalign.case import Jaw, Tooth
 from toothalign.config import config_from_dict
 from toothalign.errors import (
@@ -426,6 +426,8 @@ def test_constrained_augment_moves_only_the_case_it_returns(corpus):
             assert np.array_equal(t_in.points, t_before.points)
             assert np.array_equal(t_in.gt_points, t_before.gt_points)
             assert t_out.points is not t_out.gt_points and t_out.points is not t_in.points
+            for a in (t_in.points, t_in.gt_points):
+                assert not any(np.shares_memory(a, b) for b in (t_out.points, t_out.gt_points))
 
 
 def test_constrained_augment_needs_every_target(corpus):
@@ -454,11 +456,12 @@ def test_constrained_report_is_check_constraints(config):
 
 
 def test_reused_trees_are_never_stale(monkeypatch):
-    """The joint loop reuses a tooth's tree, and a gap, while the teeth
-    have not moved; building every tree and measuring every gap afresh
-    must give the same cases and reports, bit for bit, while building
-    more trees. Every gap the reuse answers, remembered or not, equals a
-    fresh measurement of the teeth as they are then."""
+    """The joint loop reuses a tooth's tree, a gap and an interlock
+    answer while the teeth have not moved; building every tree and
+    asking every question afresh must give the same cases and reports,
+    bit for bit, while building more trees and measuring more gaps.
+    Every gap and interlock answer the reuse gives, remembered, stacked
+    or not, equals a fresh measurement of the teeth as they are then."""
     runs = [
         (generate_synthetic_case(SynthParams(teeth_per_jaw=n), seed=2000 + n, case_id=f"t{n}"), seed)
         for n in (8, 9, 10, 12)
@@ -473,27 +476,41 @@ def test_reused_trees_are_never_stale(monkeypatch):
 
     measured, asked, stale = [], [], []
 
-    def counting_gap(points, tree):
-        measured[-1] += 1
-        return cloud_gap(points, tree)
+    def counting_gaps(points, trees):
+        measured[-1] += len(points)
+        return tree_gaps(points, trees)
 
-    def checked_gap(tooth, other, clouds, reused=augment._gap):
-        asked[-1] += 1
-        got = reused(tooth, other, clouds)
-        if not same_bits(got, cloud_gap(tooth.points, AabbTree(other.points))):
-            stale.append((tooth.id, other.id))
+    def checked_gaps(pairs, clouds, reused=augment._gaps):
+        asked[-1] += len(pairs)
+        got = reused(pairs, clouds)
+        for (tooth, other), gap in zip(pairs, got):
+            if not same_bits(gap, cloud_gap(tooth.points, AabbTree(other.points))):
+                stale.append(("gap", tooth.id, other.id))
         return got
 
+    def checked_step(a, b, radius, clouds, reused=augment._separation_step):
+        got = reused(a, b, radius, clouds)
+        mask_a, _, d_min = interlock_masks(AabbTree(a.points), AabbTree(b.points), radius)
+        if got != (radius - d_min + 1e-3 if mask_a.any() else None):
+            stale.append(("step", a.id, b.id))
+        return got
+
+    def fresh_step(a, b, radius, clouds):
+        mask_a, _, d_min = interlock_masks(CountingTree(a.points), CountingTree(b.points), radius)
+        return radius - d_min + 1e-3 if mask_a.any() else None
+
     monkeypatch.setattr(augment, "AabbTree", CountingTree)
-    monkeypatch.setattr(augment, "cloud_gap", counting_gap)
+    monkeypatch.setattr(augment, "tree_gaps", counting_gaps)
     fresh = (
         lambda tooth, clouds: CountingTree(tooth.points),
-        lambda tooth, other, clouds: counting_gap(tooth.points, CountingTree(other.points)),
+        lambda pairs, clouds: counting_gaps([a.points for a, _ in pairs], [CountingTree(b.points) for _, b in pairs]).tolist(),
+        fresh_step,
     )
     results = []
-    for tree_of, gap in ((augment._tree_of, checked_gap), fresh):
+    for tree_of, gaps, step in ((augment._tree_of, checked_gaps, checked_step), fresh):
         monkeypatch.setattr(augment, "_tree_of", tree_of)
-        monkeypatch.setattr(augment, "_gap", gap)
+        monkeypatch.setattr(augment, "_gaps", gaps)
+        monkeypatch.setattr(augment, "_separation_step", step)
         builds.append(0)
         measured.append(0)
         asked.append(0)
@@ -501,11 +518,65 @@ def test_reused_trees_are_never_stale(monkeypatch):
     assert builds[0] < builds[1]
     assert not stale
     assert measured[0] < asked[0]  # some gaps were remembered
+    assert measured[0] < measured[1]
     for (reused, report), (fresh, want) in zip(*results):
         assert report == want
         for a, b in zip(reused.upper.teeth + reused.lower.teeth, fresh.upper.teeth + fresh.lower.teeth):
             assert same_bits(a.points, b.points)
             assert a.moved == b.moved
+
+
+def test_augmentation_asks_each_question_once_per_pass(monkeypatch):
+    """Counted, not timed, on one seeded 10-tooth case: the report's
+    rotations come from stacked registrations (no one-tooth call), the
+    gap queries number at most one per adjacent_gaps call (one per
+    regularize pass, one per measurement) plus one per slide, and no
+    interlock test repeats a pair whose two clouds are unchanged."""
+    calls = {"kabsch_recover": 0, "gap queries": 0, "adjacent_gaps": 0, "slides": 0}
+    tested = []
+
+    def counted(module, name, key, wrapped=None):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return (wrapped or original)(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    def recording_interlock(a, b, radius):
+        tested.append((a.data, b.data))
+        return interlock_masks(a, b, radius)
+
+    counted(geometry, "kabsch_recover", "kabsch_recover")
+    counted(bvh, "cloud_gaps", "gap queries")
+    counted(augment, "adjacent_gaps", "adjacent_gaps")
+    counted(augment, "_slide", "slides")
+    monkeypatch.setattr(augment, "interlock_masks", recording_interlock)
+    case = generate_synthetic_case(SynthParams(teeth_per_jaw=10), seed=2010, case_id="q10")
+    out, report = constrained_augment_case_report(case, 5)
+    check_constraints(out, AugmentConfig())
+    ordinary_augment(case, 5)
+    assert calls["kabsch_recover"] == 0
+    assert 0 < calls["gap queries"] <= calls["adjacent_gaps"] + calls["slides"]
+    assert tested
+    assert all(
+        not (a is c and b is d) for k, (a, b) in enumerate(tested) for c, d in tested[:k]
+    )
+
+
+def test_ordinary_augment_with_no_displacement_keeps_every_bit(corpus):
+    """Zero ranges draw the identity for every tooth: the output equals
+    the input bit for bit, in its own arrays, with the moved flags kept."""
+    case = corpus[3].copy()
+    case.upper.teeth[0].moved = False
+    config = AugmentConfig(rot_range=0.0, trans_mu=0.0, trans_sigma=0.0, ordinary_prob=1.0)
+    out = ordinary_augment(case, 8, config)
+    for a, b in zip(case.all_teeth(), out.all_teeth()):
+        assert a.moved == b.moved
+        if a.present:
+            assert same_bits(a.points, b.points) and same_bits(a.gt_points, b.gt_points)
+            assert not np.shares_memory(a.points, b.points)
 
 
 def test_ordinary_augment_trigger_rate(corpus):

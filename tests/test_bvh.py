@@ -14,7 +14,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from toothalign.bvh import AabbTree, boxes_apart, cloud_gap, cloud_gaps, interlock_masks, nearest_distances
+from toothalign.bvh import (
+    AabbTree,
+    boxes_apart,
+    boxes_apart_many,
+    cloud_gap,
+    cloud_gaps,
+    gap_clears,
+    interlock_masks,
+    nearest_distances,
+    tree_gaps,
+)
 from toothalign.errors import EmptyCloud
 
 from oracles import all_pairs_proximity, same_bits
@@ -34,6 +44,9 @@ def _assert_matches_all_pairs(a, b, radius):
     assert same_bits(cloud_gap(b, tree_a), want_gap)
     if boxes_apart(tree_a, tree_b, radius):
         assert not want_a.any()
+    if gap_clears(want_gap, radius):
+        assert not want_a.any()
+    assert same_bits(tree_gaps([a, a[::-1]], [tree_b, tree_b]), np.array([want_gap, want_gap]))
     _assert_stacked_gaps_match_all_pairs(a, b)
 
 
@@ -167,3 +180,27 @@ def test_boxes_apart_only_when_no_pair_is_within_radius():
         assert boxes_apart(b, a, 1.0) is apart
         if apart:
             assert not interlock_masks(a, b, 1.0)[0].any()
+
+
+@PROPERTY
+@given(
+    st.lists(
+        st.tuples(
+            arrays(np.float64, (2, 3), elements=st.floats(-3.0, 3.0)),
+            arrays(np.float64, (2, 3), elements=st.floats(-3.0, 3.0)),
+            st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.5]),
+        ),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_stacked_box_test_flags_the_pairs_boxes_apart_flags(pairs):
+    trees = [(AabbTree(a), AabbTree(b), r) for a, b, r in pairs]
+    got = boxes_apart_many(
+        np.array([a.mins for a, _, _ in trees]),
+        np.array([a.maxes for a, _, _ in trees]),
+        np.array([b.mins for _, b, _ in trees]),
+        np.array([b.maxes for _, b, _ in trees]),
+        np.array([r for _, _, r in trees]),
+    )
+    assert got.tolist() == [boxes_apart(a, b, r) for a, b, r in trees]

@@ -100,8 +100,21 @@ def test_dumps_json_deterministic(case7):
 @pytest.mark.parametrize("value", [float("inf"), -float("inf"), float("nan")])
 def test_dumps_json_rejects_non_finite_numbers(value):
     # json would write Infinity or NaN, which is not JSON
-    with pytest.raises(ComputationError, match=r"^cannot encode JSON: "):
+    with pytest.raises(ComputationError, match=rf"^cannot encode JSON: total\[1\] is {value}$"):
         dumps_json({"total": [1.0, value]})
+    # the first in sorted-key order is named
+    with pytest.raises(ComputationError, match=rf"^cannot encode JSON: a\.b is {value}$"):
+        dumps_json({"z": value, "a": {"c": [value], "b": value}})
+
+
+def test_tooth_centroid_is_remembered_per_points_array(case7):
+    tooth = case7.upper.teeth[0].copy()
+    c = tooth.centroid()
+    assert tooth.centroid() is c and not c.flags.writeable
+    assert same_bits(c, tooth.points.mean(axis=0))
+    tooth.points = tooth.points + 1.0
+    assert same_bits(tooth.centroid(), tooth.points.mean(axis=0))
+    assert tooth.copy()._centroid is None and "_centroid" not in repr(tooth)
 
 
 def test_save_rejects_bad_cases_and_writes_nothing(case7, tmp_path):
@@ -119,8 +132,10 @@ def test_save_rejects_bad_cases_and_writes_nothing(case7, tmp_path):
 
 def test_from_dict_rejects_wrong_jaw_and_schema():
     t = {"id": 20, "points": np.zeros((POINT_COUNT, 3)).tolist()}
-    with pytest.raises(SchemaViolation):
+    with pytest.raises(SchemaViolation, match=r"^upper\[0\]: id 20 outside the upper range 1\.\.16$"):
         case_from_dict({"id": "x", "upper": [t], "lower": []})
+    with pytest.raises(SchemaViolation, match=r"^lower\[0\]: id 3 outside the lower range 17\.\.32$"):
+        case_from_dict({"id": "x", "upper": [{**t, "id": 3}], "lower": [{**t, "id": 3}]})
     with pytest.raises(SchemaViolation):
         case_from_dict({"id": "x"})
 

@@ -365,7 +365,7 @@ def test_non_finite_payload_exits_2_with_one_log_line(capsys, caplog, case_dir, 
     assert out == ""
     records = [r for r in caplog.records if r.levelname == "ERROR"]
     assert len(records) == 1
-    assert records[0].getMessage().startswith("ComputationError: cannot encode JSON: ")
+    assert records[0].getMessage().startswith("ComputationError: cannot encode JSON: total is ")
 
 
 def test_cli_flag_overrides_config_seed(capsys, case_file, tmp_path):

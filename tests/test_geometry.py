@@ -11,6 +11,7 @@ from toothalign.geometry import (
     fps_sample,
     fps_start_index,
     kabsch_recover,
+    kabsch_recover_many,
     quat_from_axis_angle,
     quat_from_matrix,
     quat_identity,
@@ -23,6 +24,7 @@ from toothalign.geometry import (
 from oracles import (
     augment_perturbation,
     brute_fps,
+    kabsch_one,
     quat_multiply,
     same_bits,
     synthetic_perturbation,
@@ -218,10 +220,48 @@ def test_kabsch_degenerate_raises(rng):
         kabsch_recover(np.zeros((2, 3)), np.zeros((2, 3)))
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 6),
+    n=st.integers(3, 40),
+    spread=st.sampled_from([1e-3, 1.0, 30.0]),
+    kinds=st.lists(st.sampled_from(["moved", "same", "line"]), min_size=6, max_size=6),
+)
+def test_kabsch_recover_many_rows_are_one_cloud_registrations(seed, k, n, spread, kinds):
+    """Every row of a stacked registration equals the one-cloud oracle
+    bit for bit, identity rows included, and so does the one-row call;
+    a stack with a collinear row raises DegenerateCloud naming the first."""
+    rng = np.random.default_rng(seed)
+    src = rng.normal(0.0, spread, size=(k, n, 3)) + rng.normal(0.0, 50.0, size=(k, 1, 3))
+    dst = np.empty_like(src)
+    for row, kind in enumerate(kinds[:k]):
+        if kind == "line":
+            src[row] = np.outer(rng.normal(size=n), rng.normal(size=3)) + rng.normal(size=3)
+        t = random_rigid(rng, np.pi, 0.0, spread, src[row].mean(axis=0))
+        dst[row] = src[row] if kind == "same" else t.apply(src[row])
+    want = []
+    for a, b in zip(src, dst):
+        try:
+            want.append(kabsch_one(a, b))
+        except DegenerateCloud:
+            want.append(None)
+    if None in want:
+        with pytest.raises(DegenerateCloud) as err:
+            kabsch_recover_many(src, dst)
+        assert err.value.row == want.index(None)
+    else:
+        for got in (kabsch_recover_many(src, dst), [kabsch_recover(a, b) for a, b in zip(src, dst)]):
+            for g, w in zip(got, want):
+                for field in ("rotation", "translation", "pivot"):
+                    assert same_bits(getattr(g, field), getattr(w, field))
+
+
 # --------------------------------------------------------------- sampling
 
 def test_centroid_basics():
     assert np.array_equal(centroid([[1.0, 2.0, 3.0]]), [1, 2, 3])
+    assert np.array_equal(centroid([1.0, 2.0, 3.0]), [1, 2, 3])  # one point as a 1-D vector
     cube = np.array(np.meshgrid([-1, 1], [-1, 1], [-1, 1])).T.reshape(-1, 3)
     assert np.allclose(centroid(cube), [0, 0, 0])
     with pytest.raises(EmptyCloud):

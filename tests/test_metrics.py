@@ -14,7 +14,7 @@ from toothalign.metrics import (
     iterate_predict,
     me_rotate,
     me_translate,
-    recover_tooth,
+    recover_teeth,
     residual_transforms,
 )
 
@@ -140,6 +140,11 @@ def test_me_translate_values():
     assert me_translate(pred, gt) == pytest.approx(2.5, abs=1e-12)
 
 
+def test_me_of_no_teeth_is_zero():
+    assert me_rotate({}, {}) == 0.0
+    assert me_translate({}, {}) == 0.0
+
+
 def test_me_mismatch_raises():
     t = _t(0, [0, 0, 1], [0, 0, 0])
     with pytest.raises(CorrespondenceMismatch):
@@ -187,10 +192,17 @@ def test_residual_transforms_name_a_tooth_with_other_point_counts(small_corpus):
         residual_transforms(pred, gt)
 
 
-def test_recover_tooth_names_a_degenerate_tooth():
+def test_recover_teeth_names_the_first_degenerate_tooth(rng):
     line = np.column_stack([np.arange(5.0), np.zeros(5), np.zeros(5)])
+    blob = rng.normal(size=(5, 3))
     with pytest.raises(DegenerateCloud, match=r"^tooth 9: cloud is collinear"):
-        recover_tooth(9, line, line + 1.0)
+        recover_teeth([9], [line], [line + 1.0])
+    with pytest.raises(DegenerateCloud, match=r"^tooth 4: cloud is collinear"):
+        recover_teeth([3, 4, 5], [blob, line, line], [blob + 1.0, line + 1.0, line + 2.0])
+    # unequal point counts: one registration per tooth, by id
+    got = recover_teeth([7, 2], [blob, blob[:4]], [blob + 1.0, blob[:4]])
+    assert list(got) == [7, 2] and got[2].is_identity()
+    assert recover_teeth([], [], []) == {}
 
 
 # ------------------------------------------------------------------- cases

@@ -244,9 +244,10 @@ def kabsch_recover_many(src, dst) -> list[RigidTransform]:
     cs = src.mean(axis=1)
     cd = dst.mean(axis=1)
     same = (src == dst).all(axis=(1, 2))
-    u, s, vt = np.linalg.svd((src - cs[:, None]).transpose(0, 2, 1) @ (dst - cd[:, None]))
+    src, dst = src - cs[:, None], dst - cd[:, None]  # centred
+    u, s, vt = np.linalg.svd(src.transpose(0, 2, 1) @ dst)
     # Collinear clouds leave rotation about the line unconstrained.
-    scale = np.abs(src - cs[:, None]).max(axis=(1, 2)) * np.abs(dst - cd[:, None]).max(axis=(1, 2))
+    scale = np.abs(src).max(axis=(1, 2)) * np.abs(dst).max(axis=(1, 2))
     flat = ~same & (s[:, 1] <= 1e-12 * np.maximum(scale, 1e-300))
     if flat.any():
         raise DegenerateCloud("cloud is collinear or has no spatial extent", row=int(flat.argmax()))

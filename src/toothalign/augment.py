@@ -25,13 +25,12 @@ so this equals pulling and closing tooth by tooth.
 Both passes work in place and move points only; the ``moved`` flags
 are the caller's. The joint loop of one case runs them with one
 ``clouds`` store, which remembers a tooth's tree (its bounding box and
-coordinate columns, see bvh.AabbTree), and the gap and the interlock
-answer of a pair, for as long as both teeth keep the points arrays they
-were measured on (see _Clouds). Each regularization pass measures every
-gap it lacks in one stacked query after its pulls, so a gap is measured
-again only after a slide; a pair whose remembered gap clears the proxy
-radii needs no interlock test (bvh.gap_clears); the report's rotations
-come from one stacked registration per jaw (metrics.recover_teeth).
+coordinate columns, see bvh.AabbTree) and the gap of a pair, for as
+long as both teeth keep the points arrays they were measured on (see
+_Clouds). A gap is measured the first time it is asked for; a pair
+whose remembered gap clears the proxy radii needs no interlock test
+(bvh.gap_clears); the report's rotations come from one stacked
+registration per jaw (metrics.recover_teeth).
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from dataclasses import replace
 import numpy as np
 
 from .arch import ArchLine, fit_arch_line
-from .bvh import AabbTree, boxes_apart_many, gap_clears, interlock_masks, tree_gaps
+from .bvh import AabbTree, boxes_apart_many, cloud_gap, gap_clears, interlock_masks
 from .case import Case, Jaw, Tooth, midline, midline_offset
 from .config import AugmentConfig
 from .errors import CollisionUnresolved, ConstraintViolation, CorrespondenceMismatch
@@ -70,17 +69,15 @@ def perturb_tooth(tooth: Tooth, seed: int, config: AugmentConfig) -> RigidTransf
 
 class _Clouds:
     """What one case's proximity queries have already answered: per
-    tooth id the tree over its points, and per pair of ids the gap and
-    the interlock answer (a separation step, or None for no interlock),
-    each with the two points arrays it was measured on. An entry counts
-    only while the teeth are still bound to those very arrays. Every
-    move rebinds ``points`` (see _translate) and nothing writes them in
-    place, so a moved tooth always misses."""
+    tooth id the tree over its points, and per pair of ids (lower first)
+    the gap with the two points arrays it was measured on. An entry
+    counts only while the teeth are still bound to those very arrays.
+    Every move rebinds ``points`` (see _translate) and nothing writes
+    them in place, so a moved tooth always misses."""
 
     def __init__(self):
         self.trees: dict[int, AabbTree] = {}
         self.gaps: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, float]] = {}
-        self.steps: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, float | None]] = {}
 
 
 def _tree_of(tooth: Tooth, clouds: _Clouds) -> AabbTree:
@@ -91,54 +88,40 @@ def _tree_of(tooth: Tooth, clouds: _Clouds) -> AabbTree:
     return tree
 
 
-def _recall(store: dict, a: Tooth, b: Tooth):
-    """The entry of store for teeth a and b (lower id first) while both
-    still hold the points it was measured on, else None."""
+def _recall(a: Tooth, b: Tooth, clouds: _Clouds) -> float | None:
+    """The remembered gap of teeth a and b while both still hold the
+    points it was measured on, else None."""
     lo, hi = (a, b) if a.id < b.id else (b, a)
-    seen = store.get((lo.id, hi.id))
-    return seen if seen is not None and seen[0] is lo.points and seen[1] is hi.points else None
+    seen = clouds.gaps.get((lo.id, hi.id))
+    return seen[2] if seen is not None and seen[0] is lo.points and seen[1] is hi.points else None
 
 
-def _remember(store: dict, a: Tooth, b: Tooth, answer) -> None:
-    lo, hi = (a, b) if a.id < b.id else (b, a)
-    store[(lo.id, hi.id)] = (lo.points, hi.points, answer)
-
-
-def _gaps(pairs: list[tuple[Tooth, Tooth]], clouds: _Clouds) -> list[float]:
-    """cloud_gap between each pair's current points, remembered or
-    measured: the pairs not remembered are measured in one tree_gaps
-    call (the first tooth's rows against the second's tree) when their
-    clouds share one shape, else in one call each. The gap is exact, so
-    symmetric bit for bit: one entry serves both orders."""
-    todo = [(a, b) for a, b in pairs if _recall(clouds.gaps, a, b) is None]
-    one_shape = len({(a.points.shape, b.points.shape) for a, b in todo}) == 1
-    for group in [todo] if one_shape else [[pair] for pair in todo]:
-        got = tree_gaps([a.points for a, _ in group], [_tree_of(b, clouds) for _, b in group])
-        for (a, b), gap in zip(group, got.tolist()):
-            _remember(clouds.gaps, a, b, gap)
-    return [_recall(clouds.gaps, a, b)[2] for a, b in pairs]
+def _gap(a: Tooth, b: Tooth, clouds: _Clouds) -> float:
+    """cloud_gap between the two teeth's current points, remembered or
+    measured (a's rows against b's tree). The gap is exact, so symmetric
+    bit for bit: one entry serves both orders."""
+    gap = _recall(a, b, clouds)
+    if gap is None:
+        gap = cloud_gap(a.points, _tree_of(b, clouds))
+        lo, hi = (a, b) if a.id < b.id else (b, a)
+        clouds.gaps[(lo.id, hi.id)] = (lo.points, hi.points, gap)
+    return gap
 
 
 def _separation_step(a: Tooth, b: Tooth, radius: float, clouds: _Clouds) -> float | None:
     """None when no point lies strictly inside the other cloud's proxy
     volume; otherwise a positive slide distance that clears the
-    overlap: proxy penetration depth plus a hair of margin. Remembered
-    while both teeth hold their points.
+    overlap: proxy penetration depth plus a hair of margin. A
+    remembered gap that clears the radius answers without a test.
 
     Deliberately not the interlock extent (the farthest interlocking
     pair); extent-sized slides over-separate banded contacts by
     millimetres and fight the gap constraint."""
-    seen = _recall(clouds.steps, a, b)
-    if seen is not None:
-        return seen[2]
-    gap = _recall(clouds.gaps, a, b)
-    if gap is not None and gap_clears(gap[2], radius):
-        step = None
-    else:
-        mask_a, _, d_min = interlock_masks(_tree_of(a, clouds), _tree_of(b, clouds), radius)
-        step = radius - d_min + 1e-3 if mask_a.any() else None
-    _remember(clouds.steps, a, b, step)
-    return step
+    gap = _recall(a, b, clouds)
+    if gap is not None and gap_clears(gap, radius):
+        return None
+    mask_a, _, d_min = interlock_masks(_tree_of(a, clouds), _tree_of(b, clouds), radius)
+    return radius - d_min + 1e-3 if mask_a.any() else None
 
 
 def detect_collisions(jaw: Jaw, clouds: _Clouds | None = None) -> list[tuple[int, int, float]]:
@@ -146,8 +129,8 @@ def detect_collisions(jaw: Jaw, clouds: _Clouds | None = None) -> list[tuple[int
     ascending id order; each step is a positive slide that clears the
     overlap. A pair whose grown bounding boxes are apart cannot
     interlock and is not tested; one stacked box test covers every
-    pair. ``clouds`` holds trees and answers that the call reuses and
-    adds to (see _Clouds); it never changes the result."""
+    pair. ``clouds`` holds trees and gaps that the call reuses and adds
+    to (see _Clouds); it never changes the result."""
     teeth = jaw.present_teeth()
     clouds = _Clouds() if clouds is None else clouds
     trees = [_tree_of(t, clouds) for t in teeth]
@@ -169,13 +152,11 @@ def detect_collisions(jaw: Jaw, clouds: _Clouds | None = None) -> list[tuple[int
 
 def adjacent_gaps(jaw: Jaw, clouds: _Clouds | None = None) -> list[tuple[int, int, float]]:
     """Nearest point-pair distance between adjacent present teeth;
-    adjacency means consecutive present ids (absences skipped). The
-    gaps not held by ``clouds`` are measured in one stacked query and
-    stored there (see _gaps)."""
+    adjacency means consecutive present ids (absences skipped).
+    ``clouds`` holds trees and gaps, as in detect_collisions."""
     teeth = jaw.present_teeth()
     clouds = _Clouds() if clouds is None else clouds
-    pairs = list(zip(teeth, teeth[1:]))
-    return [(a.id, b.id, gap) for (a, b), gap in zip(pairs, _gaps(pairs, clouds))]
+    return [(a.id, b.id, _gap(a, b, clouds)) for a, b in zip(teeth, teeth[1:])]
 
 
 def _center_out(teeth: list[Tooth]) -> list[Tooth]:
@@ -234,7 +215,7 @@ def _close_gap(tooth: Tooth, mesial: Tooth, arch: ArchLine, threshold: float, cl
     the mesial neighbor is at most threshold. Returns total slide."""
     total = 0.0
     for _ in range(_PULL_STEPS):
-        gap = _gaps([(tooth, mesial)], clouds)[0]
+        gap = _gap(tooth, mesial, clouds)
         if gap <= threshold:
             break
         total += _slide(tooth, arch, -(gap - (threshold - _SLACK)))
@@ -254,7 +235,6 @@ def jaw_regularize(jaw: Jaw, arch: ArchLine, config: AugmentConfig, clouds: _Clo
     order = _center_out(jaw.present_teeth())
     for _ in range(_REGULARIZE_PASSES):
         pulled = _pull_to_arch(order, arch, lo, hi)
-        adjacent_gaps(jaw, clouds)  # every gap of the pass in one query; a slide re-measures its own
         shifted = 0.0
         for k, tooth in enumerate(order):
             shifted += pulled[k]

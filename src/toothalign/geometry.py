@@ -88,19 +88,6 @@ def quat_from_axis_angle(axis, angle: float) -> np.ndarray:
     return quat_normalize(q)
 
 
-def axis_angle_from_quat(q) -> tuple[np.ndarray, float]:
-    """Inverse of :func:`quat_from_axis_angle`; angle lies in [0, pi].
-
-    The identity rotation returns axis (1, 0, 0) by convention.
-    """
-    q = quat_normalize(q)
-    s = float(np.linalg.norm(q[1:]))
-    if s < 1e-12:
-        return np.array([1.0, 0.0, 0.0]), 0.0
-    angle = 2.0 * float(np.arctan2(s, q[0]))
-    return q[1:] / s, angle
-
-
 def quat_to_matrix(q) -> np.ndarray:
     """3x3 rotation matrix of a quaternion (normalized internally)."""
     w, x, y, z = quat_normalize(q)
@@ -198,8 +185,9 @@ class RigidTransform:
         )
 
     def angle(self) -> float:
-        """Rotation angle in radians, in [0, pi]."""
-        return axis_angle_from_quat(self.rotation)[1]
+        """Rotation angle in radians, in [0, pi]: 2 atan2(|v|, w) of the
+        unit quaternion (w, v), which reads small angles exactly."""
+        return 2.0 * float(np.arctan2(np.linalg.norm(self.rotation[1:]), self.rotation[0]))
 
 
 def random_rigid(rng, max_angle: float, trans_mu: float, trans_sigma: float, pivot) -> RigidTransform:
@@ -212,8 +200,6 @@ def random_rigid(rng, max_angle: float, trans_mu: float, trans_sigma: float, piv
     exact identity rotation.
     """
     axis = rng.normal(size=3)
-    while np.linalg.norm(axis) < 1e-12:
-        axis = rng.normal(size=3)
     angle = rng.uniform(-max_angle, max_angle)
     trans = rng.normal(trans_mu, trans_sigma, size=3)
     rotation = quat_from_axis_angle(axis, angle) if angle else quat_identity()

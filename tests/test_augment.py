@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toothalign import augment, bvh, geometry
+from toothalign import augment, geometry
 from toothalign.arch import fit_arch_line
 from toothalign.augment import (
     AugmentConfig,
@@ -18,7 +18,7 @@ from toothalign.augment import (
     perturb_tooth,
     resolve_collisions_verbose,
 )
-from toothalign.bvh import AabbTree, cloud_gap, interlock_masks, tree_gaps
+from toothalign.bvh import AabbTree, cloud_gap, gap_clears, interlock_masks
 from toothalign.case import Jaw, Tooth
 from toothalign.config import config_from_dict
 from toothalign.errors import (
@@ -456,12 +456,13 @@ def test_constrained_report_is_check_constraints(config):
 
 
 def test_reused_trees_are_never_stale(monkeypatch):
-    """The joint loop reuses a tooth's tree, a gap and an interlock
-    answer while the teeth have not moved; building every tree and
-    asking every question afresh must give the same cases and reports,
-    bit for bit, while building more trees and measuring more gaps.
-    Every gap and interlock answer the reuse gives, remembered, stacked
-    or not, equals a fresh measurement of the teeth as they are then."""
+    """The joint loop reuses a tooth's tree and a pair's gap while the
+    teeth have not moved, and a remembered gap that clears the proxy
+    radii answers the interlock test; building every tree and asking
+    every question afresh must give the same cases and reports, bit for
+    bit, while building more trees and measuring more gaps. Every gap
+    and interlock answer the reuse gives equals a fresh measurement of
+    the teeth as they are then."""
     runs = [
         (generate_synthetic_case(SynthParams(teeth_per_jaw=n), seed=2000 + n, case_id=f"t{n}"), seed)
         for n in (8, 9, 10, 12)
@@ -476,16 +477,15 @@ def test_reused_trees_are_never_stale(monkeypatch):
 
     measured, asked, stale = [], [], []
 
-    def counting_gaps(points, trees):
-        measured[-1] += len(points)
-        return tree_gaps(points, trees)
+    def counting_gap(points, tree):
+        measured[-1] += 1
+        return cloud_gap(points, tree)
 
-    def checked_gaps(pairs, clouds, reused=augment._gaps):
-        asked[-1] += len(pairs)
-        got = reused(pairs, clouds)
-        for (tooth, other), gap in zip(pairs, got):
-            if not same_bits(gap, cloud_gap(tooth.points, AabbTree(other.points))):
-                stale.append(("gap", tooth.id, other.id))
+    def checked_gap(a, b, clouds, reused=augment._gap):
+        asked[-1] += 1
+        got = reused(a, b, clouds)
+        if not same_bits(got, cloud_gap(a.points, AabbTree(b.points))):
+            stale.append(("gap", a.id, b.id))
         return got
 
     def checked_step(a, b, radius, clouds, reused=augment._separation_step):
@@ -500,16 +500,16 @@ def test_reused_trees_are_never_stale(monkeypatch):
         return radius - d_min + 1e-3 if mask_a.any() else None
 
     monkeypatch.setattr(augment, "AabbTree", CountingTree)
-    monkeypatch.setattr(augment, "tree_gaps", counting_gaps)
+    monkeypatch.setattr(augment, "cloud_gap", counting_gap)
     fresh = (
         lambda tooth, clouds: CountingTree(tooth.points),
-        lambda pairs, clouds: counting_gaps([a.points for a, _ in pairs], [CountingTree(b.points) for _, b in pairs]).tolist(),
+        lambda a, b, clouds: counting_gap(a.points, CountingTree(b.points)),
         fresh_step,
     )
     results = []
-    for tree_of, gaps, step in ((augment._tree_of, checked_gaps, checked_step), fresh):
+    for tree_of, gap, step in ((augment._tree_of, checked_gap, checked_step), fresh):
         monkeypatch.setattr(augment, "_tree_of", tree_of)
-        monkeypatch.setattr(augment, "_gaps", gaps)
+        monkeypatch.setattr(augment, "_gap", gap)
         monkeypatch.setattr(augment, "_separation_step", step)
         builds.append(0)
         measured.append(0)
@@ -528,41 +528,44 @@ def test_reused_trees_are_never_stale(monkeypatch):
 
 def test_augmentation_asks_each_question_once_per_pass(monkeypatch):
     """Counted, not timed, on one seeded 10-tooth case: the report's
-    rotations come from stacked registrations (no one-tooth call), the
-    gap queries number at most one per adjacent_gaps call (one per
-    regularize pass, one per measurement) plus one per slide, and no
-    interlock test repeats a pair whose two clouds are unchanged."""
-    calls = {"kabsch_recover": 0, "gap queries": 0, "adjacent_gaps": 0, "slides": 0}
-    tested = []
+    rotations come from stacked registrations (no one-tooth call). In
+    one constrained call no gap query repeats a pair of points arrays
+    already measured, and no interlock test follows a measured gap of
+    the same two arrays that clears the summed proxy radii."""
+    calls = {"kabsch_recover": 0}
+    original = geometry.kabsch_recover
 
-    def counted(module, name, key, wrapped=None):
-        original = getattr(module, name)
+    def counted_kabsch(*args, **kwargs):
+        calls["kabsch_recover"] += 1
+        return original(*args, **kwargs)
 
-        def wrapper(*args, **kwargs):
-            calls[key] += 1
-            return (wrapped or original)(*args, **kwargs)
+    gaps, tested = [], []
 
-        monkeypatch.setattr(module, name, wrapper)
+    def recording_gap(points, tree):
+        gap = cloud_gap(points, tree)
+        gaps.append((points, tree.data, gap))
+        return gap
 
     def recording_interlock(a, b, radius):
-        tested.append((a.data, b.data))
+        tested.append((a.data, b.data, radius, len(gaps)))
         return interlock_masks(a, b, radius)
 
-    counted(geometry, "kabsch_recover", "kabsch_recover")
-    counted(bvh, "cloud_gaps", "gap queries")
-    counted(augment, "adjacent_gaps", "adjacent_gaps")
-    counted(augment, "_slide", "slides")
+    def same_arrays(p, q, r, s):
+        return (p is r and q is s) or (p is s and q is r)
+
+    monkeypatch.setattr(geometry, "kabsch_recover", counted_kabsch)
+    monkeypatch.setattr(augment, "cloud_gap", recording_gap)
     monkeypatch.setattr(augment, "interlock_masks", recording_interlock)
     case = generate_synthetic_case(SynthParams(teeth_per_jaw=10), seed=2010, case_id="q10")
     out, report = constrained_augment_case_report(case, 5)
+    assert gaps and tested
+    for k, (p, q, _) in enumerate(gaps):
+        assert not any(same_arrays(p, q, r, s) for r, s, _ in gaps[:k])
+    for p, q, radius, before in tested:
+        assert not any(same_arrays(p, q, r, s) and gap_clears(g, radius) for r, s, g in gaps[:before])
     check_constraints(out, AugmentConfig())
     ordinary_augment(case, 5)
     assert calls["kabsch_recover"] == 0
-    assert 0 < calls["gap queries"] <= calls["adjacent_gaps"] + calls["slides"]
-    assert tested
-    assert all(
-        not (a is c and b is d) for k, (a, b) in enumerate(tested) for c, d in tested[:k]
-    )
 
 
 def test_ordinary_augment_with_no_displacement_keeps_every_bit(corpus):

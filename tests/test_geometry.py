@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from toothalign.errors import DegenerateCloud, EmptyCloud, InsufficientPoints
 from toothalign.geometry import (
     RigidTransform,
-    axis_angle_from_quat,
     centroid,
     fps_sample,
     fps_start_index,
@@ -52,17 +51,21 @@ def test_normalize_canonical_sign():
 
 
 def test_axis_angle_round_trip(rng):
+    """angle() reads back the angle a quaternion was built from, about
+    any axis; quat_from_axis_angle folds a negative angle into the
+    opposite axis, so both signs read the magnitude."""
     for _ in range(200):
         axis = rng.normal(size=3)
-        axis /= np.linalg.norm(axis)
         angle = rng.uniform(1e-6, np.pi - 1e-6)
-        q = quat_from_axis_angle(axis, angle)
-        a2, ang2 = axis_angle_from_quat(q)
-        # double cover: either representation is fine
-        if np.dot(a2, axis) < 0:
-            a2, ang2 = -a2, -ang2
-        assert abs(ang2 - angle) < 1e-9 or abs(abs(ang2) - angle) < 1e-9
-        assert np.allclose(a2, axis, atol=1e-9)
+        for signed in (angle, -angle):
+            assert abs(RigidTransform(quat_from_axis_angle(axis, signed)).angle() - angle) < 1e-9
+
+
+@pytest.mark.parametrize("angle", [1e-9, 1e-12, 1e-14])
+def test_angle_reads_small_rotations(angle):
+    """No cutoff near the identity: 2 atan2(|v|, w) keeps tiny angles."""
+    got = RigidTransform(quat_from_axis_angle([0.3, -0.5, 0.8], angle)).angle()
+    assert abs(got - angle) <= 1e-15 * angle
 
 
 def test_multiply_matches_matrix_product(rng):
@@ -201,7 +204,9 @@ def test_kabsch_recovers_known_transform(seed, n, spread, raw, translation, pivo
     moved = t.apply(pts)
     rec = kabsch_recover(pts, moved)
     assert np.abs(rec.apply(pts) - moved).max() < 1e-9
-    # arccos cannot resolve angles much below ~3e-8 near identity
+    # rotation_angle_between reads small angles exactly; the bound leaves
+    # room for the registration's own rounding, largest (about 1e-13 rad)
+    # on the narrowest, 0.1 mm clouds
     assert rotation_angle_between(rec.rotation, t.rotation) < 1e-7
 
 

@@ -652,6 +652,18 @@ def test_predict_transforms_empty_case(weights, case7):
     assert predict_transforms(tpi, tooth_centers(case), weights) == {}
 
 
+def test_predict_transforms_zero_quaternion_reads_identity(weights, case7):
+    """A head whose quaternion columns are all zero (the biases are
+    zero) emits a zero quaternion, which stands for no rotation."""
+    head = dict(weights["head"], w2=weights["head"]["w2"].copy())
+    head["w2"][:, :4] = 0.0
+    tpi = build_tooth_point_image(case7, ordering="arch_line")
+    out = predict_transforms(tpi, tooth_centers(case7), dict(weights, head=head))
+    assert set(out) == {t.id for t in case7.all_teeth() if t.present}
+    for t in out.values():
+        assert same_bits(t.rotation, np.array([1.0, 0.0, 0.0, 0.0]))
+
+
 def test_predict_transforms_leaves_its_inputs_unwritten(biased_weights, case7):
     tpi = build_tooth_point_image(case7, ordering="arch_line")
     centers = tooth_centers(case7)
